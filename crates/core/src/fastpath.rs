@@ -44,11 +44,12 @@ use sma_grid::{Grid, MomentIntegral, Vec2};
 use crate::affine::LocalAffine;
 use crate::config::SmaConfig;
 use crate::motion::{
-    refined_displacement, surface_delta, track_pixel, MotionEstimate, SmaFrames, GE_SOLVES,
-    HYPOTHESES,
+    evaluate_hypothesis_mapped, fold_hypothesis, surface_delta, track_pixel, Mapping,
+    MotionEstimate, SmaFrames, TemplateSample, GE_SOLVES, HYPOTHESES,
 };
-use crate::precompute::mapped_gradient;
+use crate::precompute::{gradient_at, mapped_gradient};
 use crate::sequential::{Region, SmaResult};
+use crate::template_map::{semifluid_correspondence, SubOffsetTable};
 use sma_linalg::gauss::solve6;
 
 /// Pixels whose template window crossed the frame edge and silently
@@ -65,6 +66,12 @@ static OFFSET_PLANES: sma_obs::Counter = sma_obs::Counter::new("fastpath.offset_
 /// Pixels whose best and runner-up hypothesis errors were closer than
 /// the near-tie margin and were re-evaluated with the exact kernel.
 static NEAR_TIE_REROUTE: sma_obs::Counter = sma_obs::Counter::new("fastpath.near_tie_pixels");
+/// Near-tie band members re-evaluated with the exact kernel.
+static NEAR_TIE_CANDIDATES: sma_obs::Counter =
+    sma_obs::Counter::new("fastpath.near_tie_candidates");
+/// Near-tie pixels whose band could not be trusted and took the full
+/// exact sweep instead.
+static NEAR_TIE_FALLBACKS: sma_obs::Counter = sma_obs::Counter::new("fastpath.near_tie_fallbacks");
 
 /// Absolute term of the near-tie margin (see [`NEAR_TIE_REL`]).
 pub const NEAR_TIE_ABS: f64 = 2e-9;
@@ -89,6 +96,224 @@ pub const NEAR_TIE_REL: f64 = 2e-6;
 pub fn near_tie(best: f64, runner_up: f64) -> bool {
     runner_up.is_finite()
         && (runner_up - best) <= NEAR_TIE_ABS + NEAR_TIE_REL * best.abs().max(runner_up.abs())
+}
+
+/// How one evaluated candidate changes its pixel's near-tie band.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BandOp {
+    /// Outside the band around the running best: nothing to record.
+    Skip,
+    /// A non-improving candidate inside the band around the running best.
+    Join,
+    /// A new best within the margin of the old one: it joins the band
+    /// and leads it.
+    Lead,
+    /// A new best that clears the old one by more than the margin: the
+    /// band restarts with it alone.
+    Reset,
+}
+
+/// Classify a candidate's moment error `error` against the running
+/// best `best` it is about to be compared with. The driver's own update
+/// (`error < best` takes the lead) is unchanged; this only decides what
+/// the band records.
+#[inline]
+pub(crate) fn band_op(best: f64, error: f64) -> BandOp {
+    if error < best {
+        if near_tie(error, best) {
+            BandOp::Lead
+        } else {
+            BandOp::Reset
+        }
+    } else if near_tie(best, error) {
+        BandOp::Join
+    } else {
+        BandOp::Skip
+    }
+}
+
+/// Per-pixel near-tie bands of a moment sweep: one bit per hypothesis
+/// offset (row-major index, `ceil(H / 64)` words per pixel) plus the
+/// index of the moment-best (the band's *lead*).
+///
+/// After the sweep, every candidate whose moment error lies in the
+/// near-tie band around the pixel's final best has its bit set, in any
+/// visiting order. Moment errors are `>= 0`, so `near_tie(best, e)` can
+/// only turn false as `best` falls: a candidate left out when visited
+/// stays out, and a [`BandOp::Reset`] clears only candidates already
+/// out of the new best's band. Bits that go stale when the best
+/// improves within the margin only make the set a superset.
+pub(crate) struct Bands {
+    words: usize,
+    bits: Vec<u64>,
+    lead: Vec<u32>,
+}
+
+impl Bands {
+    /// Empty bands for `pixels` pixels of `hypotheses` offsets each.
+    pub(crate) fn new(pixels: usize, hypotheses: usize) -> Self {
+        let words = hypotheses.div_ceil(64);
+        Self {
+            words,
+            bits: vec![0u64; pixels * words],
+            lead: vec![0u32; pixels],
+        }
+    }
+
+    /// Record candidate `oi`'s [`BandOp`] for pixel `i`.
+    #[inline]
+    pub(crate) fn apply(&mut self, i: usize, oi: usize, op: BandOp) {
+        let words = &mut self.bits[i * self.words..(i + 1) * self.words];
+        apply_band(words, &mut self.lead[i], oi, op);
+    }
+
+    /// Pixel `i`'s band members, ascending (raster order of offsets).
+    fn members(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.bits[i * self.words..(i + 1) * self.words]
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &word)| {
+                (0..64usize)
+                    .filter(move |b| word >> b & 1 == 1)
+                    .map(move |b| k * 64 + b)
+            })
+    }
+}
+
+/// [`Bands::apply`] on one pixel's words and lead.
+#[inline]
+fn apply_band(words: &mut [u64], lead: &mut u32, oi: usize, op: BandOp) {
+    match op {
+        BandOp::Skip => return,
+        BandOp::Reset => words.fill(0),
+        BandOp::Join | BandOp::Lead => {}
+    }
+    if op != BandOp::Join {
+        *lead = oi as u32;
+    }
+    words[oi / 64] |= 1u64 << (oi % 64);
+}
+
+/// One moment-driver family's near-tie counters.
+pub(crate) struct NearTieCounters {
+    /// Pixels whose winning margin tripped [`near_tie`].
+    pub(crate) pixels: &'static sma_obs::Counter,
+    /// Band members re-evaluated with the exact kernel.
+    pub(crate) candidates: &'static sma_obs::Counter,
+    /// Tie pixels that fell back to the full exact sweep.
+    pub(crate) fallbacks: &'static sma_obs::Counter,
+}
+
+/// The integral family's near-tie counters.
+const INTEGRAL_NEAR_TIE: NearTieCounters = NearTieCounters {
+    pixels: &NEAR_TIE_REROUTE,
+    candidates: &NEAR_TIE_CANDIDATES,
+    fallbacks: &NEAR_TIE_FALLBACKS,
+};
+
+/// The near-tie guard shared by every moment driver. Where a pixel's
+/// moment-path winning margin is inside the noise band of the path's
+/// own error precision, the argmin is not trustworthy, so the pixel is
+/// re-evaluated with the exact kernel and its whole estimate matches
+/// the sequential reference by construction.
+///
+/// Only the pixel's band is re-evaluated, in raster order with strict
+/// less-than: a candidate outside the band has a moment error above the
+/// moment-best's by more than the margin, so (the inequality the non-tie
+/// path already trusts) its exact error is strictly above the
+/// moment-best's exact error and it can be neither the minimum nor the
+/// earliest minimum. Each template pixel's semi-fluid correspondence
+/// comes from `table` when the driver recorded one. A band whose
+/// moment-best has no finite exact error gives no such guarantee, and
+/// the pixel takes the full [`track_pixel`] sweep instead.
+///
+/// `seconds[i]` is interior pixel `i`'s moment runner-up error (`-inf`
+/// for a pixel that already holds an exact-kernel result).
+#[allow(clippy::too_many_arguments)] // the sweep's outputs, threaded through
+pub(crate) fn reroute_near_ties(
+    frames: &SmaFrames,
+    cfg: &SmaConfig,
+    interior: &[(usize, usize)],
+    seconds: &[f64],
+    bands: &Bands,
+    table: Option<&SubOffsetTable>,
+    best: &mut Grid<MotionEstimate>,
+    parallel: bool,
+    counters: &NearTieCounters,
+) {
+    let _span = sma_obs::span("near_tie_reroute");
+    let ties: Vec<usize> = (0..interior.len())
+        .filter(|&i| {
+            let (x, y) = interior[i];
+            best.at(x, y).valid && near_tie(best.at(x, y).error, seconds[i])
+        })
+        .collect();
+    let tie_pixels: Vec<(usize, usize)> = ties.iter().map(|&i| interior[i]).collect();
+    counters.pixels.add(ties.len() as u64);
+    // Re-routed ties are ultimately served by the exact kernel, so they
+    // land in both the near-tie density and exact-dispatch planes.
+    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::NearTie, &tie_pixels);
+    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &tie_pixels);
+    let mapping = table.map_or(Mapping::Live, Mapping::Table);
+    let reroute = |&i: &usize| {
+        let (x, y) = interior[i];
+        let lead = bands.lead[i] as usize;
+        let (est, evaluated, fell_back) =
+            reroute_band(frames, cfg, x, y, bands.members(i), lead, mapping);
+        ((x, y), est, evaluated, u64::from(fell_back))
+    };
+    let (mut candidates, mut fallbacks) = (0u64, 0u64);
+    let mut place =
+        |((x, y), est, evaluated, fell_back): ((usize, usize), MotionEstimate, u64, u64)| {
+            best.set(x, y, est);
+            candidates += evaluated;
+            fallbacks += fell_back;
+        };
+    if parallel {
+        let rerun: Vec<_> = ties.par_iter().map(reroute).collect();
+        rerun.into_iter().for_each(&mut place);
+    } else {
+        ties.iter().map(reroute).for_each(&mut place);
+    }
+    counters.candidates.add(candidates);
+    counters.fallbacks.add(fallbacks);
+}
+
+/// Exact re-evaluation of one tie pixel over its band `members`
+/// (ascending offset indices). Returns the estimate, the number of
+/// members evaluated, and whether the pixel fell back to the full sweep
+/// because the band's `lead` (the moment-best) had no finite exact
+/// error.
+fn reroute_band(
+    frames: &SmaFrames,
+    cfg: &SmaConfig,
+    x: usize,
+    y: usize,
+    members: impl Iterator<Item = usize>,
+    lead: usize,
+    mapping: Mapping<'_>,
+) -> (MotionEstimate, u64, bool) {
+    let ns = cfg.nzs as isize;
+    let side = 2 * cfg.nzs + 1;
+    let mut samples: Vec<TemplateSample> = Vec::with_capacity(cfg.template_window().area());
+    let mut est = MotionEstimate::invalid();
+    let mut evaluated = 0u64;
+    let mut lead_finite = false;
+    for oi in members {
+        let (ox, oy) = ((oi % side) as isize - ns, (oi / side) as isize - ns);
+        let hypothesis =
+            evaluate_hypothesis_mapped(frames, cfg, x, y, ox, oy, mapping, &mut samples);
+        evaluated += 1;
+        if oi == lead {
+            lead_finite = matches!(hypothesis, Some((_, e)) if e.is_finite());
+        }
+        fold_hypothesis(&mut est, hypothesis);
+    }
+    if lead_finite {
+        (est, evaluated, false)
+    } else {
+        (track_pixel(frames, cfg, x, y), evaluated, true)
+    }
 }
 
 /// Number of static moment channels (the 12 nonzero `A^T A` entries).
@@ -165,10 +390,31 @@ fn offset_moments(
     stat: &StaticMoments,
     ox: isize,
     oy: isize,
+    mut subs: Option<&mut [u8]>,
 ) -> MomentIntegral<OFFSET_CHANNELS> {
     let (w, h) = frames.dims();
     MomentIntegral::from_fn(w, h, |x, y| {
-        let (gx, gy) = mapped_gradient(frames, cfg, x as isize, y as isize, ox, oy);
+        let (gx, gy) = match subs.as_deref_mut() {
+            // Fsemi with a mapping table: the correspondence search runs
+            // here once per (offset, pixel) and its winner is recorded
+            // for the near-tie re-route.
+            Some(subs) => {
+                let p = (x as isize, y as isize);
+                let (q, _) = semifluid_correspondence(
+                    &frames.disc_before,
+                    &frames.disc_after,
+                    p.0,
+                    p.1,
+                    ox,
+                    oy,
+                    cfg.nss,
+                    cfg.nst,
+                );
+                subs[y * w + x] = SubOffsetTable::encode(cfg.nss, p, (ox, oy), q);
+                gradient_at(frames, q.0, q.1)
+            }
+            None => mapped_gradient(frames, cfg, x as isize, y as isize, ox, oy),
+        };
         let [zx_e2, zy_e2, ie2, zx_g2, zy_g2, ig2] = stat.factors.at(x, y);
         [
             zx_e2 * gx,
@@ -414,12 +660,19 @@ fn track_integral_impl(
         StaticMoments::compute(frames)
     };
 
-    // Runner-up error per interior pixel, carried across segments so the
-    // near-tie decision is independent of how the hypothesis rows are
-    // chunked (the offsets are visited in the same ascending order
-    // regardless of `z_rows`). `-inf` marks a pixel that already holds
-    // an exact-kernel result (corrupt-sum re-route).
-    let mut second: Grid<f64> = Grid::filled(w, h, f64::INFINITY);
+    // Runner-up error and near-tie band per interior pixel, carried
+    // across segments so the near-tie decision is independent of how the
+    // hypothesis rows are chunked (the offsets are visited in the same
+    // ascending order regardless of `z_rows`). A `-inf` runner-up marks a
+    // pixel that already holds an exact-kernel result (corrupt-sum
+    // re-route).
+    let mut states: Vec<(MotionEstimate, f64)> = interior
+        .iter()
+        .map(|&(x, y)| (best.at(x, y), f64::INFINITY))
+        .collect();
+    let mut bands = Bands::new(interior.len(), cfg.hypotheses_per_pixel());
+    let mut table = SubOffsetTable::new(cfg, w, h);
+    let side = 2 * cfg.nzs + 1;
 
     // Segment loop over hypothesis rows (z_rows = full search height for
     // the unsegmented drivers: a single segment).
@@ -432,110 +685,118 @@ fn track_integral_impl(
             .collect();
         OFFSET_PLANES.add(offsets.len() as u64);
         let _plane_span = sma_obs::span("offset_planes");
+        let mut subs: Vec<Option<&mut [u8]>> = match table.as_mut() {
+            Some(t) => t.rows_mut(row0, row1).map(Some).collect(),
+            None => offsets.iter().map(|_| None).collect(),
+        };
         let planes: Vec<MomentIntegral<OFFSET_CHANNELS>> = if parallel {
             offsets
                 .par_iter()
-                .map(|&(ox, oy)| offset_moments(frames, cfg, &stat, ox, oy))
+                .zip(subs.par_iter_mut())
+                .map(|(&(ox, oy), sub)| offset_moments(frames, cfg, &stat, ox, oy, sub.take()))
                 .collect()
         } else {
             offsets
                 .iter()
-                .map(|&(ox, oy)| offset_moments(frames, cfg, &stat, ox, oy))
+                .zip(subs.iter_mut())
+                .map(|(&(ox, oy), sub)| offset_moments(frames, cfg, &stat, ox, oy, sub.take()))
                 .collect()
         };
-
+        drop(subs);
         drop(_plane_span);
 
-        let evaluate =
-            |x: usize, y: usize, running: MotionEstimate, runner: f64| -> (MotionEstimate, f64) {
-                let mut local_best = running;
-                let mut local_second = runner;
-                // 4 SAT corners for the static window-sum, 4 more per offset.
-                CORNER_LOOKUPS.add(4 * (1 + offsets.len()) as u64);
-                let s = stat.sat.window_sum(x, y, nt);
-                if !s.iter().all(|v| v.is_finite()) {
-                    // Corrupted moment data (hostile input that slipped past
-                    // quarantine): re-route the pixel through the exact
-                    // kernel, which rebuilds its sums from raw geometry.
+        // First offset index of this segment in the row-major search.
+        let oi0 = ((row0 + ns) as usize) * side;
+        let mapping = table.as_ref().map_or(Mapping::Live, Mapping::Table);
+        let evaluate = |(x, y): (usize, usize),
+                        state: &mut (MotionEstimate, f64),
+                        (band, lead): (&mut [u64], &mut u32)| {
+            let (local_best, local_second) = state;
+            if *local_second == f64::NEG_INFINITY {
+                return;
+            }
+            // 4 SAT corners for the static window-sum, 4 more per offset.
+            CORNER_LOOKUPS.add(4 * (1 + offsets.len()) as u64);
+            let s = stat.sat.window_sum(x, y, nt);
+            if !s.iter().all(|v| v.is_finite()) {
+                // Corrupted moment data (hostile input that slipped past
+                // quarantine): re-route the pixel through the exact
+                // kernel, which rebuilds its sums from raw geometry.
+                sma_fault::note_natural_degradation();
+                *state = (track_pixel(frames, cfg, x, y), f64::NEG_INFINITY);
+                return;
+            }
+            for (k, &(ox, oy)) in offsets.iter().enumerate() {
+                let t = planes[k].window_sum(x, y, nt);
+                if !t.iter().all(|v| v.is_finite()) {
                     sma_fault::note_natural_degradation();
-                    return (track_pixel(frames, cfg, x, y), f64::NEG_INFINITY);
+                    *state = (track_pixel(frames, cfg, x, y), f64::NEG_INFINITY);
+                    return;
                 }
-                for (oi, &(ox, oy)) in offsets.iter().enumerate() {
-                    let t = planes[oi].window_sum(x, y, nt);
-                    if !t.iter().all(|v| v.is_finite()) {
-                        sma_fault::note_natural_degradation();
-                        return (track_pixel(frames, cfg, x, y), f64::NEG_INFINITY);
-                    }
-                    if let Some((params, error)) = solve_moments(&s, &t) {
-                        if error < local_best.error {
-                            local_second = local_best.error;
-                            let (rx, ry) = refined_displacement(frames, cfg, x, y, ox, oy);
-                            let z0 = surface_delta(frames, x, y, rx, ry);
-                            local_best = MotionEstimate {
-                                displacement: Vec2::new(rx as f32, ry as f32),
-                                affine: LocalAffine::from_params(&params, rx as f64, ry as f64, z0),
-                                error,
-                                valid: true,
-                            };
-                        } else if error < local_second {
-                            local_second = error;
-                        }
+                if let Some((params, error)) = solve_moments(&s, &t) {
+                    apply_band(band, lead, oi0 + k, band_op(local_best.error, error));
+                    if error < local_best.error {
+                        *local_second = local_best.error;
+                        let (rx, ry) = mapping.refined_displacement(frames, cfg, x, y, ox, oy);
+                        let z0 = surface_delta(frames, x, y, rx, ry);
+                        *local_best = MotionEstimate {
+                            displacement: Vec2::new(rx as f32, ry as f32),
+                            affine: LocalAffine::from_params(&params, rx as f64, ry as f64, z0),
+                            error,
+                            valid: true,
+                        };
+                    } else if error < *local_second {
+                        *local_second = error;
                     }
                 }
-                (local_best, local_second)
-            };
+            }
+        };
 
         if parallel {
-            let updated: Vec<((usize, usize), (MotionEstimate, f64))> = interior
+            interior
                 .par_iter()
-                .map(|&(x, y)| ((x, y), evaluate(x, y, best.at(x, y), second.at(x, y))))
-                .collect();
-            for ((x, y), (est, sec)) in updated {
-                best.set(x, y, est);
-                second.set(x, y, sec);
-            }
+                .zip(states.par_iter_mut())
+                .zip(
+                    bands
+                        .bits
+                        .par_chunks_mut(bands.words)
+                        .zip(bands.lead.par_iter_mut()),
+                )
+                .for_each(|((&p, state), band)| evaluate(p, state, band));
         } else {
-            for &(x, y) in &interior {
-                let (est, sec) = evaluate(x, y, best.at(x, y), second.at(x, y));
-                best.set(x, y, est);
-                second.set(x, y, sec);
-            }
+            interior
+                .iter()
+                .zip(states.iter_mut())
+                .zip(
+                    bands
+                        .bits
+                        .chunks_mut(bands.words)
+                        .zip(bands.lead.iter_mut()),
+                )
+                .for_each(|((&p, state), band)| evaluate(p, state, band));
         }
         // Segment's offset planes dropped here, exactly as on the PE.
         row0 = row1 + 1;
     }
 
-    // Near-tie guard: where the moment path's winning margin is inside
-    // the noise band of its own error precision, the argmin is not
-    // trustworthy — re-evaluate those pixels with the exact kernel so
-    // the winner (and the whole estimate) matches the sequential
-    // reference by construction. The decision uses the globally best
-    // and runner-up errors, so it is identical for the sequential,
-    // parallel and segmented fast-path variants.
-    let ties: Vec<(usize, usize)> = interior
-        .iter()
-        .copied()
-        .filter(|&(x, y)| best.at(x, y).valid && near_tie(best.at(x, y).error, second.at(x, y)))
-        .collect();
-    NEAR_TIE_REROUTE.add(ties.len() as u64);
-    // Re-routed ties are ultimately served by the exact kernel, so they
-    // land in both the near-tie density and exact-dispatch planes.
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::NearTie, &ties);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &ties);
-    crate::cancel::checkpoint()?;
-    if parallel {
-        let rerun: Vec<((usize, usize), MotionEstimate)> = ties
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in rerun {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &ties {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
+    for (&(x, y), (est, _)) in interior.iter().zip(&states) {
+        best.set(x, y, *est);
     }
+    let seconds: Vec<f64> = states.iter().map(|&(_, sec)| sec).collect();
+    crate::cancel::checkpoint()?;
+    // The decision uses the globally best and runner-up errors, so it is
+    // identical for the sequential, parallel and segmented variants.
+    reroute_near_ties(
+        frames,
+        cfg,
+        &interior,
+        &seconds,
+        &bands,
+        table.as_ref(),
+        &mut best,
+        parallel,
+        &INTEGRAL_NEAR_TIE,
+    );
 
     Ok(SmaResult {
         estimates: best,
@@ -601,7 +862,7 @@ pub fn track_all_translation_only(
         crate::cancel::checkpoint()?;
         for ox in -ns..=ns {
             OFFSET_PLANES.incr();
-            let plane = offset_moments(frames, cfg, &stat, ox, oy);
+            let plane = offset_moments(frames, cfg, &stat, ox, oy, None);
             for &(x, y) in &interior {
                 HYPOTHESES.incr();
                 CORNER_LOOKUPS.add(8);
@@ -616,7 +877,7 @@ pub fn track_all_translation_only(
                 let sol = [0.0, 0.0, 0.0, 0.0, atb[4] / s[5], atb[5] / s[11]];
                 let error = moment_error(&ata, &atb, btb, &sol);
                 if error.is_finite() && error < best.at(x, y).error {
-                    let (rx, ry) = refined_displacement(frames, cfg, x, y, ox, oy);
+                    let (rx, ry) = Mapping::Live.refined_displacement(frames, cfg, x, y, ox, oy);
                     let z0 = surface_delta(frames, x, y, rx, ry);
                     best.set(
                         x,
@@ -642,12 +903,13 @@ pub fn track_all_translation_only(
 /// Host-side bytes of one segment of the fast path's moment-plane store
 /// (`z_rows` hypothesis rows of per-offset planes, 8 f64 channels per
 /// pixel) plus the resident static store (12 f64 channels + 6 factor
-/// floats per pixel), for diagnostics alongside
-/// [`crate::precompute::segment_bytes`].
+/// floats per pixel) and, under `Fsemi`, the resident semi-fluid mapping
+/// table (one byte per hypothesis offset per pixel), for diagnostics
+/// alongside [`crate::precompute::segment_bytes`].
 pub fn moment_segment_bytes(frames: &SmaFrames, cfg: &SmaConfig, z_rows: usize) -> usize {
     let (w, h) = frames.dims();
     let per_offset = OFFSET_CHANNELS * 8;
-    let stat = (STATIC_CHANNELS + 6) * 8;
+    let stat = (STATIC_CHANNELS + 6) * 8 + SubOffsetTable::bytes_per_pixel(cfg);
     let offsets = z_rows * (2 * cfg.nzs + 1);
     (offsets * per_offset + stat) * w * h
 }
@@ -656,7 +918,7 @@ pub fn moment_segment_bytes(frames: &SmaFrames, cfg: &SmaConfig, z_rows: usize) 
 mod tests {
     use super::*;
     use crate::config::MotionModel;
-    use crate::motion::{evaluate_hypothesis, TemplateSample};
+    use crate::motion::evaluate_hypothesis;
     use crate::sequential::track_all_sequential;
     use sma_grid::warp::translate;
     use sma_grid::BorderPolicy;
@@ -684,7 +946,7 @@ mod tests {
         let stat = StaticMoments::compute(&f);
         let (x, y) = (15usize, 14usize);
         for (ox, oy) in [(0isize, 0isize), (1, 0), (-2, 2)] {
-            let t = offset_moments(&f, &cfg, &stat, ox, oy);
+            let t = offset_moments(&f, &cfg, &stat, ox, oy, None);
             let (params, error) = solve_moments(
                 &stat.sat.window_sum(x, y, cfg.nzt),
                 &t.window_sum(x, y, cfg.nzt),
@@ -910,6 +1172,21 @@ mod tests {
     }
 
     #[test]
+    fn moment_store_accounting_includes_the_fsemi_mapping_table() {
+        let cont = SmaConfig::small_test(MotionModel::Continuous);
+        let semi = SmaConfig::small_test(MotionModel::SemiFluid);
+        let f = frames_for_shift(0.0, 0.0, &cont);
+        // One byte per hypothesis offset (25 here) per pixel, resident
+        // whatever the segment size.
+        for z_rows in [1, 5] {
+            assert_eq!(
+                moment_segment_bytes(&f, &semi, z_rows) - moment_segment_bytes(&f, &cont, z_rows),
+                25 * 30 * 30
+            );
+        }
+    }
+
+    #[test]
     fn zero_segment_rejected() {
         let cfg = SmaConfig::small_test(MotionModel::Continuous);
         let f = frames_for_shift(0.0, 0.0, &cfg);
@@ -933,5 +1210,125 @@ mod tests {
         assert!(!near_tie(0.5, f64::INFINITY));
         assert!(!near_tie(0.5, f64::NEG_INFINITY));
         assert!(!near_tie(0.5, f64::NAN));
+    }
+
+    #[test]
+    fn band_op_classifies_against_the_running_best() {
+        // First candidate: nothing to tie with, so the band restarts.
+        assert_eq!(band_op(f64::INFINITY, 1.0), BandOp::Reset);
+        // Clear improvement, improvement inside the margin.
+        assert_eq!(band_op(1.0, 0.5), BandOp::Reset);
+        assert_eq!(band_op(1.0 + 1e-7, 1.0), BandOp::Lead);
+        // Exact tie, near tie, clear loss.
+        assert_eq!(band_op(1.0, 1.0), BandOp::Join);
+        assert_eq!(band_op(1.0, 1.0 + 1e-7), BandOp::Join);
+        assert_eq!(band_op(1.0, 1.1), BandOp::Skip);
+        assert_eq!(band_op(1.0, f64::INFINITY), BandOp::Skip);
+    }
+
+    /// The band invariant the re-route rests on: in any visiting order,
+    /// every candidate inside the near-tie band of the final best has
+    /// its bit set, and the lead is the final best.
+    #[test]
+    fn bands_cover_the_final_near_tie_band_in_any_order() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        for trial in 0..400 {
+            let n = rng.gen_range(1..=130usize);
+            // Errors clustered so ties, near ties and clear gaps all occur.
+            let levels = [0.0, 1e-10, 0.5, 0.5 + 1e-7, 0.5 + 3e-7, 0.5 + 1e-3, 2.0];
+            let errors: Vec<f64> = (0..n)
+                .map(|_| levels[rng.gen_range(0..levels.len())] * rng.gen_range(1.0..1.0 + 4e-7))
+                .collect();
+            let mut order: Vec<usize> = (0..n).collect();
+            for k in (1..n).rev() {
+                order.swap(k, rng.gen_range(0..=k));
+            }
+            let mut bands = Bands::new(1, n);
+            let mut best = f64::INFINITY;
+            let mut best_oi = usize::MAX;
+            for &oi in &order {
+                bands.apply(0, oi, band_op(best, errors[oi]));
+                if errors[oi] < best {
+                    best = errors[oi];
+                    best_oi = oi;
+                }
+            }
+            let members: Vec<usize> = bands.members(0).collect();
+            assert!(members.windows(2).all(|p| p[0] < p[1]), "members ascend");
+            for (oi, &e) in errors.iter().enumerate() {
+                if oi == best_oi || near_tie(best, e) {
+                    assert!(members.contains(&oi), "trial {trial}: {oi} missing");
+                }
+            }
+            assert_eq!(bands.lead[0] as usize, best_oi, "trial {trial}");
+        }
+    }
+
+    /// A band whose moment-best has no finite exact error proves nothing,
+    /// so the pixel takes the full exact sweep.
+    #[test]
+    fn band_with_untrusted_lead_takes_the_full_sweep() {
+        let cfg = SmaConfig::small_test(MotionModel::Continuous);
+        // A flat surface: every hypothesis system is singular, so the
+        // lead's exact result is `None`.
+        let flat = Grid::filled(30, 30, 1.0f32);
+        let f = SmaFrames::prepare(&flat, &flat, &flat, &flat, &cfg).expect("prepare");
+        let (est, evaluated, fell_back) = reroute_band(
+            &f,
+            &cfg,
+            15,
+            15,
+            [3usize, 12].into_iter(),
+            12,
+            Mapping::Live,
+        );
+        assert!(fell_back);
+        assert_eq!(evaluated, 2);
+        assert_eq!(est, track_pixel(&f, &cfg, 15, 15));
+    }
+
+    /// With a finite lead, the band's raster-order strict-less minimum
+    /// is the answer; over the whole search it is `track_pixel` itself,
+    /// with either correspondence source.
+    #[test]
+    fn full_band_reproduces_track_pixel() {
+        let cfg = SmaConfig::small_test(MotionModel::SemiFluid);
+        let f = frames_for_shift(1.0, 1.0, &cfg);
+        let (w, h) = f.dims();
+        let mut table = SubOffsetTable::new(&cfg, w, h).expect("Fsemi table");
+        let ns = cfg.nzs as isize;
+        for oy in -ns..=ns {
+            for ox in -ns..=ns {
+                let plane = table.plane_mut(ox, oy);
+                for y in 0..h {
+                    for x in 0..w {
+                        let p = (x as isize, y as isize);
+                        let (q, _) = semifluid_correspondence(
+                            &f.disc_before,
+                            &f.disc_after,
+                            p.0,
+                            p.1,
+                            ox,
+                            oy,
+                            cfg.nss,
+                            cfg.nst,
+                        );
+                        plane[y * w + x] = SubOffsetTable::encode(cfg.nss, p, (ox, oy), q);
+                    }
+                }
+            }
+        }
+        let all = cfg.hypotheses_per_pixel();
+        for (x, y) in [(12usize, 14usize), (15, 15), (17, 13)] {
+            let exact = track_pixel(&f, &cfg, x, y);
+            for mapping in [Mapping::Live, Mapping::Table(&table)] {
+                let (est, evaluated, fell_back) =
+                    reroute_band(&f, &cfg, x, y, 0..all, all / 2, mapping);
+                assert!(!fell_back);
+                assert_eq!(evaluated, all as u64);
+                assert_eq!(est, exact, "({x},{y})");
+            }
+        }
     }
 }

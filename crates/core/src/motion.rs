@@ -41,7 +41,7 @@ use sma_surface::{GeomField, GeomVars};
 
 use crate::affine::LocalAffine;
 use crate::config::{MotionModel, SmaConfig};
-use crate::template_map::semifluid_correspondence;
+use crate::template_map::{semifluid_correspondence, SubOffsetTable};
 
 /// One per `(pixel, hypothesis)` evaluation — `pixels * (2 Nzs + 1)^2`
 /// for a full-region run, the `hyp_ges` row of the analytic workload.
@@ -366,20 +366,89 @@ pub fn evaluate_hypothesis(
     oy: isize,
 ) -> Option<(LocalAffine, f64)> {
     let mut samples: Vec<TemplateSample> = Vec::with_capacity(cfg.template_window().area());
-    evaluate_hypothesis_into(frames, cfg, x, y, ox, oy, &mut samples)
+    evaluate_hypothesis_mapped(frames, cfg, x, y, ox, oy, Mapping::Live, &mut samples)
 }
 
-/// [`evaluate_hypothesis`] writing into a caller-provided scratch buffer,
-/// so a hypothesis loop reuses one allocation instead of allocating a
-/// template-sized `Vec` per hypothesis ((2 Nzs + 1)^2 allocations per
-/// pixel in the hot loop otherwise).
-pub(crate) fn evaluate_hypothesis_into(
+/// Where the exact kernel reads each template pixel's after-motion
+/// correspondence from. Both sources yield the same position for every
+/// `(p, o)`, so the kernel's output bits do not depend on the choice.
+#[derive(Clone, Copy)]
+pub(crate) enum Mapping<'a> {
+    /// Compute it on the spot: the translated position under `Fcont`,
+    /// the discriminant search ([`semifluid_correspondence`]) under
+    /// `Fsemi`. This is the sequential reference's source.
+    Live,
+    /// Decode the semi-fluid sub-offset a moment driver recorded while
+    /// building its offset planes (`Fsemi` only; the §4 mapping
+    /// precomputation).
+    Table(&'a SubOffsetTable),
+}
+
+impl Mapping<'_> {
+    /// The after-motion position of template pixel `(px, py)` under
+    /// hypothesis offset `(ox, oy)`.
+    #[inline]
+    fn correspond(
+        self,
+        frames: &SmaFrames,
+        cfg: &SmaConfig,
+        px: isize,
+        py: isize,
+        ox: isize,
+        oy: isize,
+    ) -> (isize, isize) {
+        match (cfg.model, self) {
+            (MotionModel::Continuous, _) => (px + ox, py + oy),
+            (MotionModel::SemiFluid, Mapping::Table(table)) => table.correspondence(px, py, ox, oy),
+            (MotionModel::SemiFluid, Mapping::Live) => {
+                semifluid_correspondence(
+                    &frames.disc_before,
+                    &frames.disc_after,
+                    px,
+                    py,
+                    ox,
+                    oy,
+                    cfg.nss,
+                    cfg.nst,
+                )
+                .0
+            }
+        }
+    }
+
+    /// The center pixel's correspondence displacement under hypothesis
+    /// `(ox, oy)`: the hypothesis itself for `Fcont`, the semi-fluid
+    /// refinement of it for `Fsemi`.
+    #[inline]
+    pub(crate) fn refined_displacement(
+        self,
+        frames: &SmaFrames,
+        cfg: &SmaConfig,
+        x: usize,
+        y: usize,
+        ox: isize,
+        oy: isize,
+    ) -> (isize, isize) {
+        let (cx, cy) = self.correspond(frames, cfg, x as isize, y as isize, ox, oy);
+        (cx - x as isize, cy - y as isize)
+    }
+}
+
+/// [`evaluate_hypothesis`] reading correspondences from `mapping` and
+/// writing into a caller-provided scratch buffer, so a hypothesis loop
+/// reuses one allocation instead of allocating a template-sized `Vec`
+/// per hypothesis. The single exact per-hypothesis kernel: the
+/// sequential reference runs it with [`Mapping::Live`], the moment
+/// drivers' near-tie re-route with their recorded table.
+#[allow(clippy::too_many_arguments)] // pixel + hypothesis + source + scratch
+pub(crate) fn evaluate_hypothesis_mapped(
     frames: &SmaFrames,
     cfg: &SmaConfig,
     x: usize,
     y: usize,
     ox: isize,
     oy: isize,
+    mapping: Mapping<'_>,
     samples: &mut Vec<TemplateSample>,
 ) -> Option<(LocalAffine, f64)> {
     HYPOTHESES.incr();
@@ -392,22 +461,7 @@ pub(crate) fn evaluate_hypothesis_into(
             let px = x as isize + du;
             let py = y as isize + dv;
             let before = frames.geo_before.at_clamped(px, py);
-            let (qx, qy) = match cfg.model {
-                MotionModel::Continuous => (px + ox, py + oy),
-                MotionModel::SemiFluid => {
-                    semifluid_correspondence(
-                        &frames.disc_before,
-                        &frames.disc_after,
-                        px,
-                        py,
-                        ox,
-                        oy,
-                        cfg.nss,
-                        cfg.nst,
-                    )
-                    .0
-                }
-            };
+            let (qx, qy) = mapping.correspond(frames, cfg, px, py, ox, oy);
             let after = frames.geo_after.at_clamped(qx, qy);
             samples.push(TemplateSample::from_geometry(before, after));
         }
@@ -420,41 +474,12 @@ pub(crate) fn evaluate_hypothesis_into(
     // the template mapping, not the raw hypothesis), so the estimate
     // resolves motion to within the semi-fluid search rather than the
     // coarser hypothesis grid.
-    let (rx, ry) = refined_displacement(frames, cfg, x, y, ox, oy);
+    let (rx, ry) = mapping.refined_displacement(frames, cfg, x, y, ox, oy);
     let z0 = surface_delta(frames, x, y, rx, ry);
     Some((
         LocalAffine::from_params(&solution, rx as f64, ry as f64, z0),
         error,
     ))
-}
-
-/// The center pixel's correspondence displacement under hypothesis
-/// `(ox, oy)`: the hypothesis itself for `Fcont`, the semi-fluid
-/// refinement of it for `Fsemi`.
-pub(crate) fn refined_displacement(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    x: usize,
-    y: usize,
-    ox: isize,
-    oy: isize,
-) -> (isize, isize) {
-    match cfg.model {
-        MotionModel::Continuous => (ox, oy),
-        MotionModel::SemiFluid => {
-            let ((qx, qy), _) = semifluid_correspondence(
-                &frames.disc_before,
-                &frames.disc_after,
-                x as isize,
-                y as isize,
-                ox,
-                oy,
-                cfg.nss,
-                cfg.nst,
-            );
-            (qx - x as isize, qy - y as isize)
-        }
-    }
 }
 
 /// Step 2 on gathered template samples: accumulate the weighted normal
@@ -647,21 +672,30 @@ pub(crate) fn track_pixel_rows(
     let ns = cfg.nzs as isize;
     for oy in oy0..=oy1 {
         for ox in -ns..=ns {
-            if let Some((affine, error)) =
-                evaluate_hypothesis_into(frames, cfg, x, y, ox, oy, samples)
-            {
-                if error < best.error {
-                    best = MotionEstimate {
-                        displacement: Vec2::new(affine.x0 as f32, affine.y0 as f32),
-                        affine,
-                        error,
-                        valid: true,
-                    };
-                }
-            }
+            let hypothesis =
+                evaluate_hypothesis_mapped(frames, cfg, x, y, ox, oy, Mapping::Live, samples);
+            fold_hypothesis(&mut best, hypothesis);
         }
     }
     best
+}
+
+/// Fold one exact hypothesis result into a running best: strict
+/// less-than, so among equal errors the earlier hypothesis in the
+/// caller's visiting order keeps the win. Every exact search (the full
+/// sweep here, the banded near-tie re-route in [`crate::fastpath`])
+/// folds through this one rule.
+pub(crate) fn fold_hypothesis(best: &mut MotionEstimate, hypothesis: Option<(LocalAffine, f64)>) {
+    if let Some((affine, error)) = hypothesis {
+        if error < best.error {
+            *best = MotionEstimate {
+                displacement: Vec2::new(affine.x0 as f32, affine.y0 as f32),
+                affine,
+                error,
+                valid: true,
+            };
+        }
+    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //!   via [`MasparDriver`], the planner itself via [`ExecutionPlanner`]);
 //! * [`ExecutionPlanner`] — tiles the tracked region and picks a
 //!   per-tile [`Strategy`] from the §4.3
-//!   [`MemoryBudget`](maspar_sim::memory::MemoryBudget), the tile's
+//!   [`MemoryBudget`], the tile's
 //!   border geometry, and (optionally) the observed near-tie density
 //!   fed back from the [`sma_obs::atlas`] telemetry planes;
 //! * [`track_all_planner`] — the planner as a plain driver entry point,

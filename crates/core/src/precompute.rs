@@ -32,7 +32,7 @@ use sma_grid::{Grid, Vec2};
 
 use crate::affine::LocalAffine;
 use crate::config::{MotionModel, SmaConfig};
-use crate::motion::{solve_samples, MotionEstimate, SmaFrames, TemplateSample};
+use crate::motion::{solve_samples, Mapping, MotionEstimate, SmaFrames, TemplateSample};
 use crate::sequential::{Region, SmaResult};
 use crate::template_map::semifluid_correspondence;
 
@@ -109,6 +109,12 @@ pub(crate) fn mapped_gradient(
             .0
         }
     };
+    gradient_at(frames, qx, qy)
+}
+
+/// The observed after-motion gradient `(-n_i/n_k, -n_j/n_k)` at position
+/// `(qx, qy)` of the after frame (clamped).
+pub(crate) fn gradient_at(frames: &SmaFrames, qx: isize, qy: isize) -> (f64, f64) {
     let after = frames.geo_after.at_clamped(qx, qy);
     (-after.ni / after.nk, -after.nj / after.nk)
 }
@@ -186,7 +192,7 @@ pub fn track_all_segmented(
                     if let Some((params, error)) = solve_samples(&samples) {
                         if error < local_best.error {
                             let (rx, ry) =
-                                crate::motion::refined_displacement(frames, cfg, x, y, ox, oy);
+                                Mapping::Live.refined_displacement(frames, cfg, x, y, ox, oy);
                             let z0 = {
                                 let qx = (x as isize + rx).clamp(0, w as isize - 1) as usize;
                                 let qy = (y as isize + ry).clamp(0, h as isize - 1) as usize;

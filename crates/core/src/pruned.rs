@@ -24,24 +24,27 @@
 //!    bound must cost less than the O(1) evaluation it replaces, and
 //!    one 4-channel lookup plus one 3 x 3 quadratic does.
 //! 2. **Seed-and-ring candidate ordering.** Each pixel's candidates are
-//!    visited starting from the offset with the smallest bound (the
-//!    coarse level's displacement estimate), then in growing Chebyshev
-//!    rings around that seed. A good first candidate drives the running
-//!    best error down immediately, which makes the screen maximally
-//!    selective for everything visited later. Surviving candidates are
-//!    binned per offset and evaluated offset-major in ascending raster
-//!    order, so full offset planes are built **lazily** — an offset
-//!    rejected for every pixel never builds its plane at all.
+//!    visited starting from the offset with the smallest decimated
+//!    bound (the coarse level's displacement estimate, a strict-less
+//!    argmin over the bounds, not any earlier raster winner), then in
+//!    growing Chebyshev rings around that seed. A good first candidate
+//!    drives the running best error down immediately, which makes the
+//!    screen maximally selective for everything visited later.
+//!    Surviving candidates are binned per offset and evaluated
+//!    offset-major in ascending raster order, so full offset planes are
+//!    built **lazily** — an offset rejected for every pixel never builds
+//!    its plane at all.
 //! 3. **Safe termination, not approximate termination.** A candidate is
 //!    skipped only when its deflated bound exceeds
 //!    `(best + NEAR_TIE_ABS) / (1 - NEAR_TIE_REL)` — strictly outside
 //!    the shared near-tie band around the running best. The winner can
 //!    never be skipped (its true error is below every incumbent), no
-//!    skipped candidate can change the near-tie verdict (it is provably
-//!    outside the band around the final best), and every *evaluated*
-//!    candidate reuses the SIMD driver's own [`OffsetPlanes`] SAT and
-//!    LU solve — the same bits in the same order. Output is therefore
-//!    bit-identical to [`crate::simd`] / [`crate::fastpath`] by
+//!    skipped candidate can change the near-tie verdict or belong in the
+//!    band the exact re-route reads (it is provably outside the band
+//!    around the final best), and every *evaluated* candidate reuses the
+//!    SIMD driver's own `OffsetPlanes` SAT and LU solve — the same
+//!    bits in the same order. Output is therefore bit-identical to
+//!    [`crate::simd`] / [`crate::fastpath`] by
 //!    construction; the conformance matrix pins it at run time.
 //!
 //! The screen arms only when it is provably safe: continuous model
@@ -57,21 +60,18 @@
 use rayon::prelude::*;
 use sma_fault::{FaultSite, SmaError};
 use sma_grid::prune::{inv3, quad_min, DecimatedMoments};
-use sma_grid::{Grid, Vec2};
+use sma_grid::Grid;
 use sma_linalg::gauss::Lu6;
 
-use crate::affine::LocalAffine;
 use crate::config::{MotionModel, SmaConfig};
 use crate::fastpath::{
-    ata_from_static, atb_from_moments, btb_from_moments, moment_error, near_tie, static_channels,
+    ata_from_static, reroute_near_ties, static_channels, BandOp, Bands, NearTieCounters,
     StaticMoments, NEAR_TIE_ABS, NEAR_TIE_REL,
 };
-use crate::motion::{
-    refined_displacement, surface_delta, track_pixel, MotionEstimate, SmaFrames, GE_SOLVES,
-    HYPOTHESES,
-};
+use crate::motion::{track_pixel, Mapping, MotionEstimate, SmaFrames};
 use crate::sequential::{Region, SmaResult};
-use crate::simd::{EvalState, OffsetPlanes, PixelSystem};
+use crate::simd::{eval_candidate, EvalState, OffsetPlanes, PixelSystem};
+use crate::template_map::SubOffsetTable;
 
 /// Border pixels routed to the exact kernel (window crosses the edge).
 static PRUNED_BORDER: sma_obs::Counter = sma_obs::Counter::new("pruned.border_fallback_pixels");
@@ -84,6 +84,18 @@ static PRUNED_PLANES: sma_obs::Counter = sma_obs::Counter::new("pruned.offset_pl
 static PRUNED_FACTORIZATIONS: sma_obs::Counter = sma_obs::Counter::new("pruned.lu_factorizations");
 /// Pixels re-routed to the exact kernel by the shared near-tie guard.
 static PRUNED_NEAR_TIE: sma_obs::Counter = sma_obs::Counter::new("pruned.near_tie_pixels");
+/// Near-tie band members re-evaluated with the exact kernel.
+static PRUNED_NEAR_TIE_CANDIDATES: sma_obs::Counter =
+    sma_obs::Counter::new("pruned.near_tie_candidates");
+/// Near-tie pixels that fell back to the full exact sweep.
+static PRUNED_NEAR_TIE_FALLBACKS: sma_obs::Counter =
+    sma_obs::Counter::new("pruned.near_tie_fallbacks");
+/// The pruned family's near-tie counters.
+const PRUNED_NEAR_TIE_COUNTERS: NearTieCounters = NearTieCounters {
+    pixels: &PRUNED_NEAR_TIE,
+    candidates: &PRUNED_NEAR_TIE_CANDIDATES,
+    fallbacks: &PRUNED_NEAR_TIE_FALLBACKS,
+};
 /// Candidates rejected by the admissible bound at ring-binning time.
 static BOUND_REJECTS: sma_obs::Counter = sma_obs::Counter::new("prune.bound_rejects");
 /// Total candidates never fully evaluated: bound rejects plus
@@ -324,63 +336,14 @@ fn track_pruned_impl(
     };
     drop(static_span);
 
-    // One candidate evaluation against a *full* offset SAT — the exact
-    // code path of the SIMD driver's inner loop, so every evaluated
-    // candidate produces the same bits it would there, regardless of
-    // the order candidates are visited in.
-    let eval_one = |planes: &OffsetPlanes,
-                    (x, y): (usize, usize),
-                    sys: &PixelSystem,
-                    st: &EvalState,
-                    ox: isize,
-                    oy: isize| {
-        let mut out = st.clone();
-        let t = planes.window_sum(x, y, nt);
-        if !t.iter().all(|v| v.is_finite()) {
-            sma_fault::note_natural_degradation();
-            out.best = track_pixel(frames, cfg, x, y);
-            out.second = f64::NEG_INFINITY;
-            out.done = true;
-            return out;
-        }
-        HYPOTHESES.incr();
-        GE_SOLVES.incr();
-        let s = &sys.s;
-        let atb = atb_from_moments(s, &t);
-        let btb = btb_from_moments(s, &t);
-        let sol = match &sys.lu {
-            Some(lu) => {
-                let mut b = atb;
-                lu.solve(&mut b);
-                b
-            }
-            None => {
-                // Singular pixel: `solve6` fails for every hypothesis
-                // of this pixel, so the armed-mode translation-only
-                // fallback (or the disarmed skip) applies uniformly.
-                if !sma_fault::enabled() || s[5] <= 0.0 || s[11] <= 0.0 {
-                    return out;
-                }
-                sma_fault::note_natural_degradation();
-                [0.0, 0.0, 0.0, 0.0, atb[4] / s[5], atb[5] / s[11]]
-            }
-        };
-        let error = moment_error(&sys.ata, &atb, btb, &sol);
-        if error < out.best.error {
-            out.second = out.best.error;
-            let (rx, ry) = refined_displacement(frames, cfg, x, y, ox, oy);
-            let z0 = surface_delta(frames, x, y, rx, ry);
-            out.best = MotionEstimate {
-                displacement: Vec2::new(rx as f32, ry as f32),
-                affine: LocalAffine::from_params(&sol, rx as f64, ry as f64, z0),
-                error,
-                valid: true,
-            };
-        } else if error < out.second {
-            out.second = error;
-        }
-        out
-    };
+    // Per-pixel near-tie bands, indexed by row-major offset. The band
+    // does not depend on the order candidates are visited in (see
+    // [`Bands`]), so the seed-and-ring search records the same band
+    // members the raster sweep would.
+    let mut bands = Bands::new(interior.len(), cfg.hypotheses_per_pixel());
+    let side = (2 * ns + 1) as usize;
+    // `Fsemi` only, so only the raster sweep below ever fills it.
+    let mut table = SubOffsetTable::new(cfg, w, h);
 
     let screen_on = cfg.model == MotionModel::Continuous
         && sma_grid::prune::enabled()
@@ -393,6 +356,7 @@ fn track_pruned_impl(
         let mut planes = OffsetPlanes::new(w, h);
         let mut gx_row = vec![0.0f64; w];
         let mut gy_row = vec![0.0f64; w];
+        let mut oi = 0usize;
         for oy in -ns..=ns {
             crate::cancel::checkpoint()?;
             for ox in -ns..=ns {
@@ -409,33 +373,43 @@ fn track_pruned_impl(
                         oy,
                         &mut gx_row,
                         &mut gy_row,
+                        table.as_mut().map(|t| t.plane_mut(ox, oy)),
                     );
                 }
                 let _eval_span = sma_obs::span("pruned_eval");
+                let mapping = table.as_ref().map_or(Mapping::Live, Mapping::Table);
+                let eval_one = |p, sys: &PixelSystem, st: &mut EvalState| {
+                    eval_candidate(frames, cfg, &planes, p, sys, st, (ox, oy), mapping)
+                };
                 if parallel {
-                    let updated: Vec<Option<EvalState>> = interior
+                    let updated: Vec<Option<(EvalState, BandOp)>> = interior
                         .par_iter()
                         .enumerate()
                         .map(|(i, &p)| {
                             if states[i].done {
                                 None
                             } else {
-                                Some(eval_one(&planes, p, &systems[i], &states[i], ox, oy))
+                                let mut st = states[i].clone();
+                                let op = eval_one(p, &systems[i], &mut st);
+                                Some((st, op))
                             }
                         })
                         .collect();
-                    for (st, up) in states.iter_mut().zip(updated) {
-                        if let Some(new) = up {
-                            *st = new;
+                    for (i, up) in updated.into_iter().enumerate() {
+                        if let Some((new, op)) = up {
+                            states[i] = new;
+                            bands.apply(i, oi, op);
                         }
                     }
                 } else {
                     for (i, &p) in interior.iter().enumerate() {
                         if !states[i].done {
-                            states[i] = eval_one(&planes, p, &systems[i], &states[i], ox, oy);
+                            let op = eval_one(p, &systems[i], &mut states[i]);
+                            bands.apply(i, oi, op);
                         }
                     }
                 }
+                oi += 1;
             }
         }
     } else {
@@ -476,7 +450,6 @@ fn track_pruned_impl(
         // One deflated lower bound per (offset, pixel), offset-major.
         // Each offset's decimated a-channel SAT is built, consumed and
         // dropped inside its fill — only the bounds stay resident.
-        let side = (2 * ns + 1) as usize;
         let n_off = side * side;
         let np = interior.len();
         let offsets: Vec<(isize, isize)> = (-ns..=ns)
@@ -613,6 +586,7 @@ fn track_pruned_impl(
                         oy,
                         &mut gx_row,
                         &mut gy_row,
+                        None,
                     );
                     p
                 });
@@ -620,8 +594,20 @@ fn track_pruned_impl(
                 // Second chance at evaluation time: the incumbent may
                 // have improved since binning, so re-test the stored
                 // bound against the *current* threshold.
+                let eval_one = |i: usize, st: &mut EvalState| {
+                    eval_candidate(
+                        frames,
+                        cfg,
+                        plane,
+                        interior[i],
+                        &systems[i],
+                        st,
+                        (ox, oy),
+                        Mapping::Live,
+                    )
+                };
                 if parallel {
-                    let updated: Vec<(usize, Option<EvalState>)> = bins[oi]
+                    let updated: Vec<(usize, Option<(EvalState, BandOp)>)> = bins[oi]
                         .par_iter()
                         .map(|&i| {
                             if states[i].done {
@@ -631,22 +617,15 @@ fn track_pruned_impl(
                                 CANDIDATES_SKIPPED.incr();
                                 return (i, None);
                             }
-                            (
-                                i,
-                                Some(eval_one(
-                                    plane,
-                                    interior[i],
-                                    &systems[i],
-                                    &states[i],
-                                    ox,
-                                    oy,
-                                )),
-                            )
+                            let mut st = states[i].clone();
+                            let op = eval_one(i, &mut st);
+                            (i, Some((st, op)))
                         })
                         .collect();
                     for (i, up) in updated {
-                        if let Some(new) = up {
+                        if let Some((new, op)) = up {
                             states[i] = new;
+                            bands.apply(i, oi, op);
                         }
                     }
                 } else {
@@ -658,7 +637,8 @@ fn track_pruned_impl(
                             CANDIDATES_SKIPPED.incr();
                             continue;
                         }
-                        states[i] = eval_one(plane, interior[i], &systems[i], &states[i], ox, oy);
+                        let op = eval_one(i, &mut states[i]);
+                        bands.apply(i, oi, op);
                     }
                 }
             }
@@ -673,29 +653,19 @@ fn track_pruned_impl(
     // Shared near-tie guard: identical predicate, identical re-route.
     // The screen never skips a candidate inside the band around the
     // final best, so the observed runner-up classifies each pixel
-    // exactly as the exhaustive drivers would.
-    let ties: Vec<(usize, usize)> = interior
-        .iter()
-        .zip(&seconds)
-        .filter(|(&(x, y), &sec)| best.at(x, y).valid && near_tie(best.at(x, y).error, sec))
-        .map(|(&p, _)| p)
-        .collect();
-    PRUNED_NEAR_TIE.add(ties.len() as u64);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::NearTie, &ties);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &ties);
-    if parallel {
-        let rerun: Vec<((usize, usize), MotionEstimate)> = ties
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in rerun {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &ties {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
-    }
+    // exactly as the exhaustive drivers would, and no candidate inside
+    // that band is missing from the pixel's recorded band.
+    reroute_near_ties(
+        frames,
+        cfg,
+        &interior,
+        &seconds,
+        &bands,
+        table.as_ref(),
+        &mut best,
+        parallel,
+        &PRUNED_NEAR_TIE_COUNTERS,
+    );
 
     Ok(SmaResult {
         estimates: best,
@@ -707,9 +677,11 @@ fn track_pruned_impl(
 mod tests {
     use super::*;
     use crate::config::MotionModel;
+    use crate::fastpath::near_tie;
     use crate::simd::track_all_simd;
     use sma_grid::warp::translate;
     use sma_grid::BorderPolicy;
+    use sma_grid::Vec2;
 
     fn wavy(w: usize, h: usize) -> Grid<f32> {
         Grid::from_fn(w, h, |x, y| {

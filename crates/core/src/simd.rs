@@ -39,15 +39,14 @@ use sma_linalg::gauss::Lu6;
 use crate::affine::LocalAffine;
 use crate::config::{MotionModel, SmaConfig};
 use crate::fastpath::{
-    ata_from_static, atb_from_moments, btb_from_moments, moment_error, near_tie, StaticMoments,
-    OFFSET_CHANNELS, STATIC_CHANNELS,
+    ata_from_static, atb_from_moments, band_op, btb_from_moments, moment_error, reroute_near_ties,
+    BandOp, Bands, NearTieCounters, StaticMoments, OFFSET_CHANNELS, STATIC_CHANNELS,
 };
 use crate::motion::{
-    refined_displacement, surface_delta, track_pixel, MotionEstimate, SmaFrames, GE_SOLVES,
-    HYPOTHESES,
+    surface_delta, track_pixel, Mapping, MotionEstimate, SmaFrames, GE_SOLVES, HYPOTHESES,
 };
 use crate::sequential::{Region, SmaResult};
-use crate::template_map::semifluid_correspondence;
+use crate::template_map::{semifluid_correspondence, SubOffsetTable};
 
 /// Border pixels routed to the exact kernel (window crosses the edge).
 static SIMD_BORDER: sma_obs::Counter = sma_obs::Counter::new("simd.border_fallback_pixels");
@@ -60,6 +59,17 @@ static SIMD_PLANES: sma_obs::Counter = sma_obs::Counter::new("simd.offset_planes
 static SIMD_FACTORIZATIONS: sma_obs::Counter = sma_obs::Counter::new("simd.lu_factorizations");
 /// Pixels re-routed to the exact kernel by the shared near-tie guard.
 static SIMD_NEAR_TIE: sma_obs::Counter = sma_obs::Counter::new("simd.near_tie_pixels");
+/// Near-tie band members re-evaluated with the exact kernel.
+static SIMD_NEAR_TIE_CANDIDATES: sma_obs::Counter =
+    sma_obs::Counter::new("simd.near_tie_candidates");
+/// Near-tie pixels that fell back to the full exact sweep.
+static SIMD_NEAR_TIE_FALLBACKS: sma_obs::Counter = sma_obs::Counter::new("simd.near_tie_fallbacks");
+/// The SIMD family's near-tie counters.
+const SIMD_NEAR_TIE_COUNTERS: NearTieCounters = NearTieCounters {
+    pixels: &SIMD_NEAR_TIE,
+    candidates: &SIMD_NEAR_TIE_CANDIDATES,
+    fallbacks: &SIMD_NEAR_TIE_FALLBACKS,
+};
 
 /// Per-pixel hypothesis-independent state: static window sums, the
 /// assembled `A^T A`, and its LU factorization (`None` = singular, which
@@ -105,7 +115,9 @@ impl OffsetPlanes {
     /// `gy_row` are caller-owned scratch rows (one allocation for the
     /// whole offset loop). The per-pixel channel products and the
     /// prefix accumulation order match
-    /// [`sma_grid::MomentIntegral::from_fn`] exactly.
+    /// [`sma_grid::MomentIntegral::from_fn`] exactly. Under `Fsemi`,
+    /// `subs` (this offset's plane of a [`SubOffsetTable`]) records each
+    /// pixel's semi-fluid correspondence for the near-tie re-route.
     #[allow(clippy::too_many_arguments)] // hot-loop scratch threading
     pub(crate) fn build(
         &mut self,
@@ -118,6 +130,7 @@ impl OffsetPlanes {
         oy: isize,
         gx_row: &mut [f64],
         gy_row: &mut [f64],
+        mut subs: Option<&mut [u8]>,
     ) {
         let (w, h) = frames.dims();
         let w1 = self.w1;
@@ -148,6 +161,14 @@ impl OffsetPlanes {
                             cfg.nss,
                             cfg.nst,
                         );
+                        if let Some(subs) = subs.as_deref_mut() {
+                            subs[y * w + x] = SubOffsetTable::encode(
+                                cfg.nss,
+                                (x as isize, y as isize),
+                                (ox, oy),
+                                (qx, qy),
+                            );
+                        }
                         let cx = qx.clamp(0, w as isize - 1) as usize;
                         let cy = qy.clamp(0, h as isize - 1) as usize;
                         gx_row[x] = gx_plane.at(cx, cy);
@@ -375,6 +396,9 @@ fn track_simd_impl(
     let mut planes = OffsetPlanes::new(w, h);
     let mut gx_row = vec![0.0f64; w];
     let mut gy_row = vec![0.0f64; w];
+    let mut table = SubOffsetTable::new(cfg, w, h);
+    let mut bands = Bands::new(interior.len(), cfg.hypotheses_per_pixel());
+    let mut oi = 0usize;
     for oy in -ns..=ns {
         crate::cancel::checkpoint()?;
         for ox in -ns..=ns {
@@ -391,117 +415,133 @@ fn track_simd_impl(
                     oy,
                     &mut gx_row,
                     &mut gy_row,
+                    table.as_mut().map(|t| t.plane_mut(ox, oy)),
                 );
             }
             let _eval_span = sma_obs::span("simd_eval");
-            let eval_one = |(x, y): (usize, usize), sys: &PixelSystem, st: &EvalState| {
-                let mut out = st.clone();
-                let t = planes.window_sum(x, y, nt);
-                if !t.iter().all(|v| v.is_finite()) {
-                    sma_fault::note_natural_degradation();
-                    out.best = track_pixel(frames, cfg, x, y);
-                    out.second = f64::NEG_INFINITY;
-                    out.done = true;
-                    return out;
-                }
-                HYPOTHESES.incr();
-                GE_SOLVES.incr();
-                let s = &sys.s;
-                let atb = atb_from_moments(s, &t);
-                let btb = btb_from_moments(s, &t);
-                let sol = match &sys.lu {
-                    Some(lu) => {
-                        let mut b = atb;
-                        lu.solve(&mut b);
-                        b
-                    }
-                    None => {
-                        // Singular pixel: `solve6` fails for every
-                        // hypothesis of this pixel, so the armed-mode
-                        // translation-only fallback (or the disarmed
-                        // skip) applies uniformly.
-                        if !sma_fault::enabled() || s[5] <= 0.0 || s[11] <= 0.0 {
-                            return out;
-                        }
-                        sma_fault::note_natural_degradation();
-                        [0.0, 0.0, 0.0, 0.0, atb[4] / s[5], atb[5] / s[11]]
-                    }
-                };
-                let error = moment_error(&sys.ata, &atb, btb, &sol);
-                if error < out.best.error {
-                    out.second = out.best.error;
-                    let (rx, ry) = refined_displacement(frames, cfg, x, y, ox, oy);
-                    let z0 = surface_delta(frames, x, y, rx, ry);
-                    out.best = MotionEstimate {
-                        displacement: Vec2::new(rx as f32, ry as f32),
-                        affine: LocalAffine::from_params(&sol, rx as f64, ry as f64, z0),
-                        error,
-                        valid: true,
-                    };
-                } else if error < out.second {
-                    out.second = error;
-                }
-                out
+            let mapping = table.as_ref().map_or(Mapping::Live, Mapping::Table);
+            let eval_one = |p: (usize, usize), sys: &PixelSystem, st: &mut EvalState| {
+                eval_candidate(frames, cfg, &planes, p, sys, st, (ox, oy), mapping)
             };
             if parallel {
-                let updated: Vec<Option<EvalState>> = interior
+                let updated: Vec<Option<(EvalState, BandOp)>> = interior
                     .par_iter()
                     .enumerate()
                     .map(|(i, &p)| {
                         if states[i].done {
                             None
                         } else {
-                            Some(eval_one(p, &systems[i], &states[i]))
+                            let mut st = states[i].clone();
+                            let op = eval_one(p, &systems[i], &mut st);
+                            Some((st, op))
                         }
                     })
                     .collect();
-                for (st, up) in states.iter_mut().zip(updated) {
-                    if let Some(new) = up {
-                        *st = new;
+                for (i, up) in updated.into_iter().enumerate() {
+                    if let Some((new, op)) = up {
+                        states[i] = new;
+                        bands.apply(i, oi, op);
                     }
                 }
             } else {
                 for (i, &p) in interior.iter().enumerate() {
                     if !states[i].done {
-                        states[i] = eval_one(p, &systems[i], &states[i]);
+                        let op = eval_one(p, &systems[i], &mut states[i]);
+                        bands.apply(i, oi, op);
                     }
                 }
             }
+            oi += 1;
         }
     }
     for (&(x, y), st) in interior.iter().zip(&states) {
         best.set(x, y, st.best);
     }
     let seconds: Vec<f64> = states.iter().map(|st| st.second).collect();
-
-    // Shared near-tie guard: identical predicate, identical re-route.
-    let ties: Vec<(usize, usize)> = interior
-        .iter()
-        .zip(&seconds)
-        .filter(|(&(x, y), &sec)| best.at(x, y).valid && near_tie(best.at(x, y).error, sec))
-        .map(|(&p, _)| p)
-        .collect();
-    SIMD_NEAR_TIE.add(ties.len() as u64);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::NearTie, &ties);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &ties);
-    if parallel {
-        let rerun: Vec<((usize, usize), MotionEstimate)> = ties
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in rerun {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &ties {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
-    }
+    reroute_near_ties(
+        frames,
+        cfg,
+        &interior,
+        &seconds,
+        &bands,
+        table.as_ref(),
+        &mut best,
+        parallel,
+        &SIMD_NEAR_TIE_COUNTERS,
+    );
 
     Ok(SmaResult {
         estimates: best,
         region: bounds,
     })
+}
+
+/// One candidate evaluation against a built offset plane: the moment
+/// solve and the strict-less winner update of `st` in place; returns
+/// the candidate's [`BandOp`]. Shared by the SIMD and pruned drivers, so every
+/// evaluated candidate produces the same bits in either, regardless of
+/// the order candidates are visited in. `mapping` supplies the center
+/// pixel's refined displacement (the offset's recorded table plane
+/// under `Fsemi`).
+#[allow(clippy::too_many_arguments)] // pixel + system + state + offset + source
+#[inline]
+pub(crate) fn eval_candidate(
+    frames: &SmaFrames,
+    cfg: &SmaConfig,
+    planes: &OffsetPlanes,
+    (x, y): (usize, usize),
+    sys: &PixelSystem,
+    out: &mut EvalState,
+    (ox, oy): (isize, isize),
+    mapping: Mapping<'_>,
+) -> BandOp {
+    let t = planes.window_sum(x, y, cfg.nzt);
+    if !t.iter().all(|v| v.is_finite()) {
+        sma_fault::note_natural_degradation();
+        out.best = track_pixel(frames, cfg, x, y);
+        out.second = f64::NEG_INFINITY;
+        out.done = true;
+        return BandOp::Skip;
+    }
+    HYPOTHESES.incr();
+    GE_SOLVES.incr();
+    let s = &sys.s;
+    let atb = atb_from_moments(s, &t);
+    let btb = btb_from_moments(s, &t);
+    let sol = match &sys.lu {
+        Some(lu) => {
+            let mut b = atb;
+            lu.solve(&mut b);
+            b
+        }
+        None => {
+            // Singular pixel: `solve6` fails for every
+            // hypothesis of this pixel, so the armed-mode
+            // translation-only fallback (or the disarmed
+            // skip) applies uniformly.
+            if !sma_fault::enabled() || s[5] <= 0.0 || s[11] <= 0.0 {
+                return BandOp::Skip;
+            }
+            sma_fault::note_natural_degradation();
+            [0.0, 0.0, 0.0, 0.0, atb[4] / s[5], atb[5] / s[11]]
+        }
+    };
+    let error = moment_error(&sys.ata, &atb, btb, &sol);
+    let op = band_op(out.best.error, error);
+    if error < out.best.error {
+        out.second = out.best.error;
+        let (rx, ry) = mapping.refined_displacement(frames, cfg, x, y, ox, oy);
+        let z0 = surface_delta(frames, x, y, rx, ry);
+        out.best = MotionEstimate {
+            displacement: Vec2::new(rx as f32, ry as f32),
+            affine: LocalAffine::from_params(&sol, rx as f64, ry as f64, z0),
+            error,
+            valid: true,
+        };
+    } else if error < out.second {
+        out.second = error;
+    }
+    op
 }
 
 #[cfg(test)]

@@ -14,6 +14,8 @@
 
 use sma_grid::Grid;
 
+use crate::config::{MotionModel, SmaConfig};
+
 /// Discriminant-matching score between the semi-fluid template around
 /// `p = (px, py)` in the *before* discriminant plane and around
 /// `q = (qx, qy)` in the *after* plane: the paper's eq. (10) error,
@@ -141,6 +143,109 @@ pub fn semifluid_correspondence(
         }
     }
     (best_pos, best_score)
+}
+
+/// The §4 template-mapping precomputation in its compact form: the
+/// winning semi-fluid sub-offset `s` of every pixel `p` under every
+/// hypothesis offset `o`, so `Fsemi(p) = p + o + s`. "It is more
+/// efficient to pre-compute the template mapping for all pixels": the
+/// mapping depends only on `(p, o)`, so one search per `(o, p)` serves
+/// every tracked pixel whose template covers `p`.
+///
+/// The moment drivers fill it as a by-product of building their offset
+/// planes (the search runs there anyway) and the exact near-tie re-route
+/// decodes it instead of searching again. One byte per `(o, p)`: the
+/// sub-offset's row-major index in the `(2 Nss + 1)^2` search window.
+#[derive(Debug, Clone)]
+pub(crate) struct SubOffsetTable {
+    w: usize,
+    h: usize,
+    nzs: usize,
+    nss: usize,
+    subs: Vec<u8>,
+}
+
+impl SubOffsetTable {
+    /// Bytes the table holds per frame pixel under `cfg`: one per
+    /// hypothesis offset, or zero when there is nothing to record —
+    /// `Fcont` maps by pure translation, and a semi-fluid window wider
+    /// than 15 x 15 (`Nss > 7`) does not fit one byte.
+    pub(crate) fn bytes_per_pixel(cfg: &SmaConfig) -> usize {
+        let side = 2 * cfg.nss + 1;
+        if cfg.model == MotionModel::SemiFluid && side * side <= 256 {
+            cfg.hypotheses_per_pixel()
+        } else {
+            0
+        }
+    }
+
+    /// A zeroed table for a `w x h` frame, or `None` when
+    /// [`bytes_per_pixel`](Self::bytes_per_pixel) is zero.
+    pub(crate) fn new(cfg: &SmaConfig, w: usize, h: usize) -> Option<Self> {
+        let per_pixel = Self::bytes_per_pixel(cfg);
+        (per_pixel > 0).then(|| Self {
+            w,
+            h,
+            nzs: cfg.nzs,
+            nss: cfg.nss,
+            subs: vec![0u8; per_pixel * w * h],
+        })
+    }
+
+    /// Row-major index of hypothesis offset `(ox, oy)` in the search
+    /// window.
+    fn offset_index(&self, ox: isize, oy: isize) -> usize {
+        let ns = self.nzs as isize;
+        ((oy + ns) * (2 * ns + 1) + (ox + ns)) as usize
+    }
+
+    /// The `w x h` byte plane of hypothesis offset `(ox, oy)`, for the
+    /// plane builder to record into.
+    pub(crate) fn plane_mut(&mut self, ox: isize, oy: isize) -> &mut [u8] {
+        let n = self.w * self.h;
+        let oi = self.offset_index(ox, oy);
+        &mut self.subs[oi * n..(oi + 1) * n]
+    }
+
+    /// The byte planes of hypothesis rows `oy0..=oy1`, one per offset
+    /// in row-major order (a segment of the integral driver).
+    pub(crate) fn rows_mut(&mut self, oy0: isize, oy1: isize) -> std::slice::ChunksMut<'_, u8> {
+        let n = self.w * self.h;
+        let ns = self.nzs as isize;
+        let (first, end) = (self.offset_index(-ns, oy0), self.offset_index(ns, oy1) + 1);
+        self.subs[first * n..end * n].chunks_mut(n)
+    }
+
+    /// Encode the correspondence `q` that pixel `p` found under offset
+    /// `o` as its sub-offset byte.
+    pub(crate) fn encode(
+        nss: usize,
+        p: (isize, isize),
+        o: (isize, isize),
+        q: (isize, isize),
+    ) -> u8 {
+        let n = nss as isize;
+        let (sx, sy) = (q.0 - p.0 - o.0, q.1 - p.1 - o.1);
+        debug_assert!(sx.abs() <= n && sy.abs() <= n, "sub-offset outside Nss");
+        ((sy + n) * (2 * n + 1) + (sx + n)) as u8
+    }
+
+    /// `Fsemi(p)` under offset `(ox, oy)` as recorded:
+    /// `(px + ox + sx, py + oy + sy)`, equal to
+    /// [`semifluid_correspondence`]'s position. `p` must lie in the frame.
+    pub(crate) fn correspondence(
+        &self,
+        px: isize,
+        py: isize,
+        ox: isize,
+        oy: isize,
+    ) -> (isize, isize) {
+        let n = self.nss as isize;
+        let pixel = py as usize * self.w + px as usize;
+        let code = self.subs[self.offset_index(ox, oy) * self.w * self.h + pixel] as isize;
+        let side = 2 * n + 1;
+        (px + ox + code % side - n, py + oy + code / side - n)
+    }
 }
 
 /// Precomputed discriminant-match scores for one pixel over the extended
@@ -318,6 +423,43 @@ mod tests {
         let d = bump_plane(16, 16, 8, 8);
         let plane = ScorePlane::compute(&d, &d, 8, 8, 1, 1, 2);
         let _ = plane.at(5, 0);
+    }
+
+    /// Recording a search's winner and decoding it back must give the
+    /// search's own position, for every semi-fluid window that fits a
+    /// byte; `Fcont` and oversized windows get no table.
+    #[test]
+    fn sub_offset_table_round_trips_the_search() {
+        let before = bump_plane(20, 18, 9, 8);
+        let after = bump_plane(20, 18, 11, 7);
+        for nss in [0usize, 1, 2, 7] {
+            let cfg = SmaConfig {
+                nzs: 1,
+                nss,
+                ..SmaConfig::small_test(MotionModel::SemiFluid)
+            };
+            let mut table = SubOffsetTable::new(&cfg, 20, 18).expect("fits a byte");
+            for (ox, oy) in [(-1isize, -1isize), (0, 1), (1, 0)] {
+                let mut found = Vec::new();
+                let plane = table.plane_mut(ox, oy);
+                for (px, py) in [(0isize, 0isize), (9, 8), (19, 17), (4, 12)] {
+                    let (q, _) = semifluid_correspondence(&before, &after, px, py, ox, oy, nss, 2);
+                    plane[py as usize * 20 + px as usize] =
+                        SubOffsetTable::encode(nss, (px, py), (ox, oy), q);
+                    found.push(((px, py), q));
+                }
+                for ((px, py), q) in found {
+                    assert_eq!(table.correspondence(px, py, ox, oy), q, "nss {nss}");
+                }
+            }
+        }
+        let fcont = SmaConfig::small_test(MotionModel::Continuous);
+        assert!(SubOffsetTable::new(&fcont, 8, 8).is_none());
+        let wide = SmaConfig {
+            nss: 8,
+            ..SmaConfig::small_test(MotionModel::SemiFluid)
+        };
+        assert!(SubOffsetTable::new(&wide, 8, 8).is_none());
     }
 
     /// The interior lane kernel must be bit-identical to the clamped

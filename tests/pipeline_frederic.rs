@@ -3,9 +3,11 @@
 //! the paper's claims (parallel == sequential, RMS < 1 px vs the 32
 //! reference vectors).
 
-use sma::core::motion::SmaFrames;
-use sma::core::sequential::{track_all_sequential, Region};
-use sma::core::{track_all_parallel, MotionModel, SmaConfig};
+use sma::core::motion::{MotionEstimate, SmaFrames};
+use sma::core::sequential::{track_all_sequential, Region, SmaResult};
+use sma::core::{
+    track_all_parallel, track_all_planner, track_all_simd, MotionModel, SmaConfig, SmaError,
+};
 use sma::satdata::hurricane_frederic_analog;
 use sma::satdata::tracers::{pick_tracers, tracer_points};
 use sma::stereo::{Asa, AsaConfig};
@@ -99,4 +101,47 @@ fn parallel_equals_sequential_on_real_scene() {
     for (x, y) in s.region.pixels() {
         assert_eq!(s.estimates.at(x, y), p.estimates.at(x, y), "at ({x},{y})");
     }
+
+    // The moment fast path on the same real Fsemi scene: most interior
+    // pixels are near-ties here, re-routed through the banded exact
+    // re-evaluation. Displacements match the sequential reference
+    // everywhere, and every re-routed pixel's whole estimate matches it
+    // to the bit.
+    type Driver = fn(&SmaFrames, &SmaConfig, Region) -> Result<SmaResult, SmaError>;
+    let (w, h) = frames.dims();
+    for (name, driver) in [
+        ("simd", track_all_simd as Driver),
+        ("planner", track_all_planner),
+    ] {
+        // A 1-px telemetry atlas records exactly which pixels re-routed.
+        sma_obs::atlas::arm(w, h, 1);
+        let m = driver(&frames, &cfg, region).expect("track");
+        let snap = sma_obs::atlas::snapshot().expect("atlas armed");
+        sma_obs::atlas::disarm();
+        let near_tie = snap.plane(sma_obs::atlas::AtlasChannel::NearTie);
+        let mut ties = 0usize;
+        for (x, y) in s.region.pixels() {
+            let (a, b) = (s.estimates.at(x, y), m.estimates.at(x, y));
+            assert_eq!(a.valid, b.valid, "{name} validity at ({x},{y})");
+            assert_eq!(a.displacement, b.displacement, "{name} at ({x},{y})");
+            if near_tie[y * w + x] > 0 {
+                ties += 1;
+                assert_eq!(bits(&a), bits(&b), "{name} near-tie pixel ({x},{y})");
+            }
+        }
+        assert!(ties > 0, "{name} re-routed no near-tie on the Fsemi scene");
+    }
+}
+
+/// Every field of an estimate as raw bits.
+fn bits(e: &MotionEstimate) -> Vec<u64> {
+    let a = &e.affine;
+    let params = [
+        a.ai, a.bi, a.aj, a.bj, a.ak, a.bk, a.x0, a.y0, a.z0, e.error,
+    ];
+    let mut out: Vec<u64> = params.iter().map(|v| v.to_bits()).collect();
+    out.push(u64::from(e.displacement.u.to_bits()));
+    out.push(u64::from(e.displacement.v.to_bits()));
+    out.push(u64::from(e.valid));
+    out
 }

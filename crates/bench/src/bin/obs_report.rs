@@ -29,18 +29,13 @@
 
 use maspar_sim::machine::{MachineConfig, MasPar, ReadoutScheme};
 use sma_bench::wavy;
-use sma_core::fastpath::{
-    track_all_integral, track_all_integral_parallel, track_all_integral_segmented,
-};
+use sma_core::fastpath::{track_all_integral, track_all_integral_segmented};
 use sma_core::maspar_driver::track_on_maspar;
 use sma_core::motion::SmaFrames;
 use sma_core::precompute::track_all_segmented;
 use sma_core::sequential::Region;
 use sma_core::timing::SmaWorkload;
-use sma_core::{
-    track_all_parallel, track_all_pruned, track_all_pruned_parallel, track_all_sequential,
-    track_all_simd, track_all_simd_parallel, MotionModel, SmaConfig,
-};
+use sma_core::{track_all_pruned, track_all_sequential, track_all_simd, MotionModel, SmaConfig};
 use sma_grid::pyramid::Pyramid;
 use sma_grid::warp::translate;
 use sma_grid::BorderPolicy;
@@ -179,32 +174,17 @@ fn main() {
         let region = Region::Interior {
             margin: cfg.margin(),
         };
-        let exact_runs = [
-            ("parallel", track_all_parallel(&frames, &cfg, region)),
-            ("segmented", track_all_segmented(&frames, &cfg, region, 2)),
-        ];
+        let exact_runs = [("segmented", track_all_segmented(&frames, &cfg, region, 2))];
         let integral_runs = [
             ("fastpath", track_all_integral(&frames, &cfg, region)),
-            (
-                "fastpath_par",
-                track_all_integral_parallel(&frames, &cfg, region),
-            ),
             (
                 "fastpath_seg",
                 track_all_integral_segmented(&frames, &cfg, region, 2),
             ),
             ("fastpath_simd_seq", track_all_simd(&frames, &cfg, region)),
             (
-                "fastpath_simd_par",
-                track_all_simd_parallel(&frames, &cfg, region),
-            ),
-            (
                 "fastpath_pruned_seq",
                 track_all_pruned(&frames, &cfg, region),
-            ),
-            (
-                "fastpath_pruned_par",
-                track_all_pruned_parallel(&frames, &cfg, region),
             ),
         ];
         let bounds = region.bounds(side, side).expect("non-empty interior");

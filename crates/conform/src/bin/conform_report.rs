@@ -342,6 +342,7 @@ fn main() {
         }
     }
     doc.set_gauge("conform.failures", failures.len() as f64);
+    doc.set_gauge("conform.drivers", ALL_DRIVERS.len() as f64);
     std::fs::write(&opts.out, doc.to_json()).expect("write metrics document");
     println!("\nwrote {}", opts.out);
 
@@ -363,16 +364,12 @@ fn main() {
 fn print_matrix(verdicts: &[PairVerdict]) {
     let short = |d: DriverKind| match d {
         DriverKind::Sequential => "seq",
-        DriverKind::Parallel => "par",
         DriverKind::Segmented => "seg",
         DriverKind::Maspar => "mas",
         DriverKind::Fastpath => "fst",
-        DriverKind::FastpathParallel => "fsp",
         DriverKind::FastpathSegmented => "fsg",
         DriverKind::FastpathSimd => "sim",
-        DriverKind::FastpathSimdParallel => "smp",
         DriverKind::FastpathPruned => "prn",
-        DriverKind::FastpathPrunedParallel => "prp",
         DriverKind::PlannerAuto => "pln",
     };
     print!("  matrix:      ");

@@ -87,14 +87,6 @@ impl Drop for CancelGuard {
     }
 }
 
-/// The token installed on this thread, if any. Drivers that fan work
-/// out (Rayon rows, scoped threads) capture it once and poll
-/// [`CancelToken::is_cancelled`] inside the fan-out, where the
-/// thread-local of the spawning thread may not be visible.
-pub fn current() -> Option<CancelToken> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
 /// A driver cancellation point: `Ok(())` with no token installed or the
 /// token still live, the token's [`SmaError::DeadlineExceeded`] once it
 /// is cancelled.

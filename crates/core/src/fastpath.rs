@@ -37,7 +37,6 @@
 //! equivalence suite pins displacements exactly and parameters/errors to
 //! 1e-6 relative).
 
-use rayon::prelude::*;
 use sma_fault::{FaultSite, SmaError};
 use sma_grid::{Grid, MomentIntegral, Vec2};
 
@@ -238,7 +237,6 @@ pub(crate) fn reroute_near_ties(
     bands: &Bands,
     table: Option<&SubOffsetTable>,
     best: &mut Grid<MotionEstimate>,
-    parallel: bool,
     counters: &NearTieCounters,
 ) {
     let _span = sma_obs::span("near_tie_reroute");
@@ -255,25 +253,15 @@ pub(crate) fn reroute_near_ties(
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::NearTie, &tie_pixels);
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &tie_pixels);
     let mapping = table.map_or(Mapping::Live, Mapping::Table);
-    let reroute = |&i: &usize| {
+    let (mut candidates, mut fallbacks) = (0u64, 0u64);
+    for &i in &ties {
         let (x, y) = interior[i];
         let lead = bands.lead[i] as usize;
         let (est, evaluated, fell_back) =
             reroute_band(frames, cfg, x, y, bands.members(i), lead, mapping);
-        ((x, y), est, evaluated, u64::from(fell_back))
-    };
-    let (mut candidates, mut fallbacks) = (0u64, 0u64);
-    let mut place =
-        |((x, y), est, evaluated, fell_back): ((usize, usize), MotionEstimate, u64, u64)| {
-            best.set(x, y, est);
-            candidates += evaluated;
-            fallbacks += fell_back;
-        };
-    if parallel {
-        let rerun: Vec<_> = ties.par_iter().map(reroute).collect();
-        rerun.into_iter().for_each(&mut place);
-    } else {
-        ties.iter().map(reroute).for_each(&mut place);
+        best.set(x, y, est);
+        candidates += evaluated;
+        fallbacks += u64::from(fell_back);
     }
     counters.candidates.add(candidates);
     counters.fallbacks.add(fallbacks);
@@ -537,21 +525,7 @@ pub fn track_all_integral(
     cfg: &SmaConfig,
     region: Region,
 ) -> Result<SmaResult, SmaError> {
-    track_integral_impl(frames, cfg, region, 2 * cfg.nzs + 1, false)
-}
-
-/// [`track_all_integral`] with host parallelism (Rayon) over offset
-/// planes and pixel rows. Result-identical to the sequential fast path.
-///
-/// # Errors
-/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
-/// frame size.
-pub fn track_all_integral_parallel(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-) -> Result<SmaResult, SmaError> {
-    track_integral_impl(frames, cfg, region, 2 * cfg.nzs + 1, true)
+    track_integral_impl(frames, cfg, region, 2 * cfg.nzs + 1)
 }
 
 /// The segmented fast path: like [`crate::precompute::track_all_segmented`],
@@ -575,7 +549,7 @@ pub fn track_all_integral_segmented(
             "segment must contain at least one hypothesis row".into(),
         ));
     }
-    track_integral_impl(frames, cfg, region, z_rows, true)
+    track_integral_impl(frames, cfg, region, z_rows)
 }
 
 fn track_integral_impl(
@@ -583,7 +557,6 @@ fn track_integral_impl(
     cfg: &SmaConfig,
     region: Region,
     z_rows: usize,
-    parallel: bool,
 ) -> Result<SmaResult, SmaError> {
     let _span = sma_obs::span("track_integral");
     let (w, h) = frames.dims();
@@ -628,18 +601,8 @@ fn track_integral_impl(
     // exact kernel: both dispatch planes of the telemetry atlas.
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &border);
     crate::cancel::checkpoint()?;
-    if parallel {
-        let tracked: Vec<((usize, usize), MotionEstimate)> = border
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in tracked {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &border {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
+    for &(x, y) in &border {
+        best.set(x, y, track_pixel(frames, cfg, x, y));
     }
 
     let interior: Vec<(usize, usize)> = bounds
@@ -689,19 +652,11 @@ fn track_integral_impl(
             Some(t) => t.rows_mut(row0, row1).map(Some).collect(),
             None => offsets.iter().map(|_| None).collect(),
         };
-        let planes: Vec<MomentIntegral<OFFSET_CHANNELS>> = if parallel {
-            offsets
-                .par_iter()
-                .zip(subs.par_iter_mut())
-                .map(|(&(ox, oy), sub)| offset_moments(frames, cfg, &stat, ox, oy, sub.take()))
-                .collect()
-        } else {
-            offsets
-                .iter()
-                .zip(subs.iter_mut())
-                .map(|(&(ox, oy), sub)| offset_moments(frames, cfg, &stat, ox, oy, sub.take()))
-                .collect()
-        };
+        let planes: Vec<MomentIntegral<OFFSET_CHANNELS>> = offsets
+            .iter()
+            .zip(subs.iter_mut())
+            .map(|(&(ox, oy), sub)| offset_moments(frames, cfg, &stat, ox, oy, sub.take()))
+            .collect();
         drop(subs);
         drop(_plane_span);
 
@@ -752,29 +707,16 @@ fn track_integral_impl(
             }
         };
 
-        if parallel {
-            interior
-                .par_iter()
-                .zip(states.par_iter_mut())
-                .zip(
-                    bands
-                        .bits
-                        .par_chunks_mut(bands.words)
-                        .zip(bands.lead.par_iter_mut()),
-                )
-                .for_each(|((&p, state), band)| evaluate(p, state, band));
-        } else {
-            interior
-                .iter()
-                .zip(states.iter_mut())
-                .zip(
-                    bands
-                        .bits
-                        .chunks_mut(bands.words)
-                        .zip(bands.lead.iter_mut()),
-                )
-                .for_each(|((&p, state), band)| evaluate(p, state, band));
-        }
+        interior
+            .iter()
+            .zip(states.iter_mut())
+            .zip(
+                bands
+                    .bits
+                    .chunks_mut(bands.words)
+                    .zip(bands.lead.iter_mut()),
+            )
+            .for_each(|((&p, state), band)| evaluate(p, state, band));
         // Segment's offset planes dropped here, exactly as on the PE.
         row0 = row1 + 1;
     }
@@ -785,7 +727,7 @@ fn track_integral_impl(
     let seconds: Vec<f64> = states.iter().map(|&(_, sec)| sec).collect();
     crate::cancel::checkpoint()?;
     // The decision uses the globally best and runner-up errors, so it is
-    // identical for the sequential, parallel and segmented variants.
+    // identical for the whole-search and segmented variants.
     reroute_near_ties(
         frames,
         cfg,
@@ -794,7 +736,6 @@ fn track_integral_impl(
         &bands,
         table.as_ref(),
         &mut best,
-        parallel,
         &INTEGRAL_NEAR_TIE,
     );
 
@@ -1059,10 +1000,6 @@ mod tests {
             expected
         );
         assert_eq!(
-            crate::parallel::track_all_parallel(&f, &cfg, region).map(|_| ()),
-            expected
-        );
-        assert_eq!(
             crate::precompute::track_all_segmented(&f, &cfg, region, 2).map(|_| ()),
             expected
         );
@@ -1074,14 +1011,8 @@ mod tests {
         let f = frames_for_shift(1.0, 1.0, &cfg);
         let region = Region::Interior { margin: 10 };
         let seq = track_all_integral(&f, &cfg, region).expect("fastpath");
-        let par = track_all_integral_parallel(&f, &cfg, region).expect("fastpath par");
         let seg = track_all_integral_segmented(&f, &cfg, region, 2).expect("fastpath seg");
         for (x, y) in seq.region.pixels() {
-            assert_eq!(
-                seq.estimates.at(x, y),
-                par.estimates.at(x, y),
-                "par ({x},{y})"
-            );
             assert_eq!(
                 seq.estimates.at(x, y),
                 seg.estimates.at(x, y),

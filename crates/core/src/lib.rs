@@ -34,7 +34,6 @@
 //! * [`sequential`] — the reference implementation ("a sequential
 //!   (un-optimized) version ... was used to form a baseline for comparing
 //!   the correctness of the parallel algorithm results");
-//! * [`parallel`] — Rayon host-parallel driver, result-identical;
 //! * [`maspar_driver`] — execution against the `maspar-sim` machine
 //!   (folded data, read-out neighborhood fetching, cost ledger);
 //! * [`precompute`] — §4.1's shared template-mapping precomputation with
@@ -59,6 +58,13 @@
 //!   behind one [`plan::Driver`] trait, plus a cost-model-driven
 //!   per-tile strategy picker registered in the conformance matrix as
 //!   `planner_auto`.
+//!
+//! Each numerical family has exactly one host driver, and every host
+//! driver runs on the calling thread. The paper's parallel result (§5.1,
+//! "the parallel algorithm obtained the same result as the sequential
+//! implementation") is reproduced by [`maspar_driver`] on the simulated
+//! PE array and checked against [`sequential`] by the conformance
+//! matrix.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,7 +77,6 @@ pub mod ext;
 pub mod fastpath;
 pub mod maspar_driver;
 pub mod motion;
-pub mod parallel;
 pub mod plan;
 pub mod precompute;
 pub mod pruned;
@@ -82,14 +87,10 @@ pub mod timing;
 
 pub use affine::LocalAffine;
 pub use config::{MotionModel, SmaConfig};
-pub use fastpath::{
-    track_all_integral, track_all_integral_parallel, track_all_integral_segmented,
-    track_all_translation_only,
-};
+pub use fastpath::{track_all_integral, track_all_integral_segmented, track_all_translation_only};
 pub use motion::{FrameArtifacts, MotionEstimate, SmaFrames};
-pub use parallel::track_all_parallel;
 pub use plan::{track_all_planner, track_all_planner_with, ExecutionPlanner, PlannerKnobs};
-pub use pruned::{track_all_pruned, track_all_pruned_parallel};
+pub use pruned::track_all_pruned;
 pub use sequential::track_all_sequential;
-pub use simd::{track_all_simd, track_all_simd_parallel};
+pub use simd::track_all_simd;
 pub use sma_fault::{GridError, LedgerSnapshot, MasParError, SmaError, StereoError};

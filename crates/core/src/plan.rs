@@ -6,11 +6,11 @@
 //! fit, hypothesis-row segmentation when they do not, the exact kernel
 //! where the template window crosses the frame edge (the fast path
 //! would re-route every such pixel anyway) — but historically those
-//! choices were frozen into nine sibling drivers picked by the caller.
+//! choices were frozen into sibling drivers picked by the caller.
 //! This module turns them into data:
 //!
 //! * [`Driver`] — the one trait every entry point is reachable through
-//!   (the nine static drivers via [`Strategy`], the simulated machine
+//!   (the seven static drivers via [`Strategy`], the simulated machine
 //!   via [`MasparDriver`], the planner itself via [`ExecutionPlanner`]);
 //! * [`ExecutionPlanner`] — tiles the tracked region and picks a
 //!   per-tile [`Strategy`] from the §4.3
@@ -63,28 +63,17 @@ use sma_obs::atlas::{AtlasChannel, AtlasSnapshot};
 
 use crate::config::{MotionModel, SmaConfig};
 use crate::fastpath::{
-    track_all_integral, track_all_integral_parallel, track_all_integral_segmented,
-    track_all_translation_only,
+    track_all_integral, track_all_integral_segmented, track_all_translation_only,
 };
 use crate::maspar_driver::track_on_maspar;
 use crate::motion::{track_pixel, MotionEstimate, SmaFrames};
-use crate::parallel::track_all_parallel;
 use crate::precompute::track_all_segmented;
 use crate::sequential::{track_all_sequential, Region, SmaResult};
-use crate::simd::{track_all_simd, track_all_simd_parallel};
+use crate::simd::track_all_simd;
 
 /// PE-array edge of the Goddard MP-2 (16,384 PEs as a 128 x 128 grid) —
 /// the machine shape the planner's §4.3 budget is derived for.
 pub const GODDARD_PE_EDGE: usize = 128;
-
-/// Tracked-pixel count below which the planner prefers the sequential
-/// variant of a family even when the `parallel` knob is on: the
-/// row-parallel drivers' per-row dispatch (and, on a real rayon,
-/// thread fan-out) is pure overhead on small regions — the bench
-/// scenarios up to 96 x 96 all run faster sequentially — and the
-/// parallel/sequential pair of every family is bit-identical, so the
-/// cutover affects wall-clock only, never output bits.
-pub const PARALLEL_MIN_AREA: usize = 1 << 15;
 
 /// Minimum hypothesis count (`(2 nzs + 1)^2`) for the pruned-search
 /// strategy to be worth its screening overhead: the coarse bound pass
@@ -102,38 +91,27 @@ pub const PRUNE_MIN_HYPOTHESES: usize = 25;
 pub enum Strategy {
     /// The sequential exact reference ([`track_all_sequential`]).
     Sequential,
-    /// Rayon row-parallel exact driver ([`track_all_parallel`]).
-    Parallel,
     /// §4.1/§4.3 precompute with hypothesis-row segmentation
     /// ([`track_all_segmented`]).
     Segmented {
         /// Hypothesis rows per resident segment.
         z_rows: usize,
     },
-    /// Moment-plane integral fast path, sequential
-    /// ([`track_all_integral`]).
+    /// Moment-plane integral fast path ([`track_all_integral`]).
     Integral,
-    /// Fast path, Rayon row-parallel ([`track_all_integral_parallel`]).
-    IntegralParallel,
     /// Fast path with hypothesis-row segmentation
     /// ([`track_all_integral_segmented`]).
     IntegralSegmented {
         /// Hypothesis rows of moment planes resident per segment.
         z_rows: usize,
     },
-    /// SIMD lane-kernel fast path, sequential ([`track_all_simd`]).
+    /// SIMD lane-kernel fast path ([`track_all_simd`]).
     Simd,
-    /// SIMD fast path, Rayon row-parallel
-    /// ([`track_all_simd_parallel`]).
-    SimdParallel,
-    /// Pruned-search fast path, sequential
+    /// Pruned-search fast path
     /// ([`crate::pruned::track_all_pruned`]): SIMD kernels plus
     /// coarse-lattice candidate ordering and admissible early
     /// termination. Bit-identical to the SIMD family by construction.
     Pruned,
-    /// Pruned-search fast path, Rayon row-parallel
-    /// ([`crate::pruned::track_all_pruned_parallel`]).
-    PrunedParallel,
     /// Translation-only Fcont degraded mode
     /// ([`track_all_translation_only`]).
     TranslationOnly,
@@ -144,15 +122,11 @@ impl Strategy {
     pub fn name(self) -> &'static str {
         match self {
             Strategy::Sequential => "sequential",
-            Strategy::Parallel => "parallel",
             Strategy::Segmented { .. } => "segmented",
             Strategy::Integral => "integral",
-            Strategy::IntegralParallel => "integral_par",
             Strategy::IntegralSegmented { .. } => "integral_seg",
             Strategy::Simd => "simd",
-            Strategy::SimdParallel => "simd_par",
             Strategy::Pruned => "pruned",
-            Strategy::PrunedParallel => "pruned_par",
             Strategy::TranslationOnly => "translation_only",
         }
     }
@@ -160,14 +134,11 @@ impl Strategy {
     /// Whether this strategy evaluates the exact per-template summation
     /// (as opposed to a moment-plane reduction).
     pub fn is_exact(self) -> bool {
-        matches!(
-            self,
-            Strategy::Sequential | Strategy::Parallel | Strategy::Segmented { .. }
-        )
+        matches!(self, Strategy::Sequential | Strategy::Segmented { .. })
     }
 }
 
-/// The one interface every SMA driver is reachable through. All nine
+/// The one interface every SMA driver is reachable through. All seven
 /// static entry points share the `(frames, cfg, region)` signature;
 /// implementors that need more (the simulated machine needs the raw
 /// input planes, the planner carries knobs and feedback) hold it as
@@ -202,19 +173,13 @@ impl Driver for Strategy {
     ) -> Result<SmaResult, SmaError> {
         match *self {
             Strategy::Sequential => track_all_sequential(frames, cfg, region),
-            Strategy::Parallel => track_all_parallel(frames, cfg, region),
             Strategy::Segmented { z_rows } => track_all_segmented(frames, cfg, region, z_rows),
             Strategy::Integral => track_all_integral(frames, cfg, region),
-            Strategy::IntegralParallel => track_all_integral_parallel(frames, cfg, region),
             Strategy::IntegralSegmented { z_rows } => {
                 track_all_integral_segmented(frames, cfg, region, z_rows)
             }
             Strategy::Simd => track_all_simd(frames, cfg, region),
-            Strategy::SimdParallel => track_all_simd_parallel(frames, cfg, region),
             Strategy::Pruned => crate::pruned::track_all_pruned(frames, cfg, region),
-            Strategy::PrunedParallel => {
-                crate::pruned::track_all_pruned_parallel(frames, cfg, region)
-            }
             Strategy::TranslationOnly => track_all_translation_only(frames, cfg, region),
         }
     }
@@ -297,8 +262,6 @@ pub struct PlannerKnobs {
     /// Force the translation-only degraded mode everywhere (the
     /// shedding rung — comparable, not bit-identical output).
     pub translation_only: bool,
-    /// Use Rayon row-parallel variants for moment strategies.
-    pub parallel: bool,
     /// Hypothesis rows per segment; `None` derives the depth from the
     /// §4.3 budget (unsegmented when it fits).
     pub z_rows: Option<usize>,
@@ -319,7 +282,6 @@ impl Default for PlannerKnobs {
             allow_pruned: true,
             allow_integral: true,
             translation_only: false,
-            parallel: true,
             z_rows: None,
             pe_memory_bytes: GODDARD_PE_MEMORY_BYTES,
             near_tie_exact_fraction: 0.25,
@@ -464,50 +426,30 @@ impl ExecutionPlanner {
         }
     }
 
-    /// Whether the plan should use the row-parallel variants for a
-    /// region of `area` tracked pixels: only when the knob allows it
-    /// AND the region is large enough that the per-row dispatch
-    /// overhead (and thread fan-out, on a real rayon) is amortized.
-    /// Below the threshold the sequential variants are measurably
-    /// *faster* — on the bench scenarios (up to 96 x 96) row-parallel
-    /// SIMD loses to sequential SIMD outright — and the
-    /// parallel/sequential pair of every family is bit-identical, so
-    /// this choice can never change output bits.
-    fn use_parallel(&self, area: usize) -> bool {
-        self.knobs.parallel && area >= PARALLEL_MIN_AREA
-    }
-
     /// The moment-family strategy the budget admits: unsegmented SIMD or
     /// integral when the full plane store fits, hypothesis-row
     /// segmentation when it does not, the exact kernel when even one
     /// row is too large (it needs no plane store).
-    fn moment_strategy(
-        &self,
-        budget: &MemoryBudget,
-        cfg: &SmaConfig,
-        area: usize,
-    ) -> (Strategy, PlanReason) {
+    fn moment_strategy(&self, budget: &MemoryBudget, cfg: &SmaConfig) -> (Strategy, PlanReason) {
         let k = &self.knobs;
         if !k.allow_simd && !k.allow_integral {
-            return (self.exact_strategy(area), PlanReason::Interior);
+            return (Strategy::Sequential, PlanReason::Interior);
         }
         let full = 2 * cfg.nzs + 1;
         let z = match k.z_rows {
             Some(z) if z > 0 => z.min(full),
             _ => match budget.fastpath_max_segment_rows() {
                 Some(z) => z,
-                None => return (self.exact_strategy(area), PlanReason::MemoryStarved),
+                None => return (Strategy::Sequential, PlanReason::MemoryStarved),
             },
         };
         if z < full {
-            // Only the scalar integral family has a segmented variant;
-            // the segment loop itself is row-parallel inside.
+            // Only the scalar integral family has a segmented variant.
             return (
                 Strategy::IntegralSegmented { z_rows: z },
                 PlanReason::SegmentedBudget,
             );
         }
-        let parallel = self.use_parallel(area);
         let search_span = 2 * cfg.nzs + 1;
         let s = if k.allow_simd {
             // The pruned family rides on the SIMD kernels and only arms
@@ -520,30 +462,14 @@ impl ExecutionPlanner {
                 && cfg.model == MotionModel::Continuous
                 && search_span * search_span >= PRUNE_MIN_HYPOTHESES
             {
-                if parallel {
-                    Strategy::PrunedParallel
-                } else {
-                    Strategy::Pruned
-                }
-            } else if parallel {
-                Strategy::SimdParallel
+                Strategy::Pruned
             } else {
                 Strategy::Simd
             }
-        } else if parallel {
-            Strategy::IntegralParallel
         } else {
             Strategy::Integral
         };
         (s, PlanReason::Interior)
-    }
-
-    fn exact_strategy(&self, area: usize) -> Strategy {
-        if self.use_parallel(area) {
-            Strategy::Parallel
-        } else {
-            Strategy::Sequential
-        }
     }
 
     /// Tile the region and assign strategies. Pure in `(frames, cfg,
@@ -570,11 +496,7 @@ impl ExecutionPlanner {
             y1: h - 1 - nzt,
         });
         let budget = self.budget_for(w, h, cfg);
-        // Parallelism pays off (or not) at the scale of the whole
-        // tracked region — strategy groups execute over bounding boxes,
-        // not single tiles — so the cutover uses the region area.
-        let area = bounds.area();
-        let (moment, moment_reason) = self.moment_strategy(&budget, cfg, area);
+        let (moment, moment_reason) = self.moment_strategy(&budget, cfg);
 
         let mut tiles = Vec::new();
         let mut ty = bounds.y0;
@@ -633,7 +555,7 @@ impl ExecutionPlanner {
                 // A near-tie-dense tile pays the moment lookups and
                 // then re-routes most pixels through the exact kernel;
                 // going exact directly does the work once.
-                return (self.exact_strategy(tb.area()), PlanReason::NearTieDense);
+                return (Strategy::Sequential, PlanReason::NearTieDense);
             }
         }
         (moment, moment_reason)

@@ -57,7 +57,6 @@
 //! sweep that is structurally the SIMD loop — and the prune-off
 //! equivalence tests assert not one output bit moves either way.
 
-use rayon::prelude::*;
 use sma_fault::{FaultSite, SmaError};
 use sma_grid::prune::{inv3, quad_min, DecimatedMoments};
 use sma_grid::Grid;
@@ -65,8 +64,8 @@ use sma_linalg::gauss::Lu6;
 
 use crate::config::{MotionModel, SmaConfig};
 use crate::fastpath::{
-    ata_from_static, reroute_near_ties, static_channels, BandOp, Bands, NearTieCounters,
-    StaticMoments, NEAR_TIE_ABS, NEAR_TIE_REL,
+    ata_from_static, reroute_near_ties, static_channels, Bands, NearTieCounters, StaticMoments,
+    NEAR_TIE_ABS, NEAR_TIE_REL,
 };
 use crate::motion::{track_pixel, Mapping, MotionEstimate, SmaFrames};
 use crate::sequential::{Region, SmaResult};
@@ -156,37 +155,6 @@ struct PixelScreen {
     s_sub: [f64; STATIC_A_CHANNELS],
 }
 
-/// Track every pixel of `region` with the pruned-search moment path,
-/// sequentially. Output is bit-identical to [`crate::simd::track_all_simd`]
-/// (and therefore the whole integral family) by construction — see the
-/// module docs; the conformance matrix pins the contract at run time.
-///
-/// # Errors
-/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
-/// frame size.
-pub fn track_all_pruned(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-) -> Result<SmaResult, SmaError> {
-    track_pruned_impl(frames, cfg, region, false)
-}
-
-/// [`track_all_pruned`] with host parallelism (Rayon) over the border,
-/// the screening bounds, per-offset evaluation batches and the near-tie
-/// re-route. Result-identical to the sequential pruned driver.
-///
-/// # Errors
-/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
-/// frame size.
-pub fn track_all_pruned_parallel(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-) -> Result<SmaResult, SmaError> {
-    track_pruned_impl(frames, cfg, region, true)
-}
-
 /// True when every per-pixel input the screen (and the offset planes)
 /// consumes is finite and within [`SCREEN_MAX_MAGNITUDE`] — the
 /// precondition under which no window sum can go non-finite, so the
@@ -214,11 +182,18 @@ fn screen_inputs_bounded(
     true
 }
 
-fn track_pruned_impl(
+/// Track every pixel of `region` with the pruned-search moment path,
+/// sequentially. Output is bit-identical to [`crate::simd::track_all_simd`]
+/// (and therefore the whole integral family) by construction — see the
+/// module docs; the conformance matrix pins the contract at run time.
+///
+/// # Errors
+/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
+/// frame size.
+pub fn track_all_pruned(
     frames: &SmaFrames,
     cfg: &SmaConfig,
     region: Region,
-    parallel: bool,
 ) -> Result<SmaResult, SmaError> {
     let _span = sma_obs::span("track_pruned");
     let (w, h) = frames.dims();
@@ -257,18 +232,8 @@ fn track_pruned_impl(
     }
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &border);
     crate::cancel::checkpoint()?;
-    if parallel {
-        let tracked: Vec<((usize, usize), MotionEstimate)> = border
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in tracked {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &border {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
+    for &(x, y) in &border {
+        best.set(x, y, track_pixel(frames, cfg, x, y));
     }
 
     let interior: Vec<(usize, usize)> = bounds
@@ -329,11 +294,8 @@ fn track_pruned_impl(
             },
         )
     };
-    let (systems, mut states): (Vec<PixelSystem>, Vec<EvalState>) = if parallel {
-        interior.par_iter().map(prefactor).unzip()
-    } else {
-        interior.iter().map(prefactor).unzip()
-    };
+    let (systems, mut states): (Vec<PixelSystem>, Vec<EvalState>) =
+        interior.iter().map(prefactor).unzip();
     drop(static_span);
 
     // Per-pixel near-tie bands, indexed by row-major offset. The band
@@ -378,35 +340,19 @@ fn track_pruned_impl(
                 }
                 let _eval_span = sma_obs::span("pruned_eval");
                 let mapping = table.as_ref().map_or(Mapping::Live, Mapping::Table);
-                let eval_one = |p, sys: &PixelSystem, st: &mut EvalState| {
-                    eval_candidate(frames, cfg, &planes, p, sys, st, (ox, oy), mapping)
-                };
-                if parallel {
-                    let updated: Vec<Option<(EvalState, BandOp)>> = interior
-                        .par_iter()
-                        .enumerate()
-                        .map(|(i, &p)| {
-                            if states[i].done {
-                                None
-                            } else {
-                                let mut st = states[i].clone();
-                                let op = eval_one(p, &systems[i], &mut st);
-                                Some((st, op))
-                            }
-                        })
-                        .collect();
-                    for (i, up) in updated.into_iter().enumerate() {
-                        if let Some((new, op)) = up {
-                            states[i] = new;
-                            bands.apply(i, oi, op);
-                        }
-                    }
-                } else {
-                    for (i, &p) in interior.iter().enumerate() {
-                        if !states[i].done {
-                            let op = eval_one(p, &systems[i], &mut states[i]);
-                            bands.apply(i, oi, op);
-                        }
+                for (i, &p) in interior.iter().enumerate() {
+                    if !states[i].done {
+                        let op = eval_candidate(
+                            frames,
+                            cfg,
+                            &planes,
+                            p,
+                            &systems[i],
+                            &mut states[i],
+                            (ox, oy),
+                            mapping,
+                        );
+                        bands.apply(i, oi, op);
                     }
                 }
                 oi += 1;
@@ -441,11 +387,7 @@ fn track_pruned_impl(
                 },
             }
         };
-        let screens: Vec<PixelScreen> = if parallel {
-            interior.par_iter().map(screen_for).collect()
-        } else {
-            interior.iter().map(screen_for).collect()
-        };
+        let screens: Vec<PixelScreen> = interior.iter().map(screen_for).collect();
 
         // One deflated lower bound per (offset, pixel), offset-major.
         // Each offset's decimated a-channel SAT is built, consumed and
@@ -480,14 +422,8 @@ fn track_pruned_impl(
                 };
             }
         };
-        if parallel {
-            lb.par_chunks_mut(np)
-                .zip(offsets.par_iter())
-                .for_each(|(out, o)| fill_bounds(o, out));
-        } else {
-            for (out, o) in lb.chunks_mut(np).zip(offsets.iter()) {
-                fill_bounds(o, out);
-            }
+        for (out, o) in lb.chunks_mut(np).zip(offsets.iter()) {
+            fill_bounds(o, out);
         }
 
         // Seed per pixel: the offset with the smallest bound — the
@@ -505,11 +441,7 @@ fn track_pruned_impl(
             }
             bi
         };
-        let seed_of: Vec<usize> = if parallel {
-            (0..np).into_par_iter().map(seed_for).collect()
-        } else {
-            (0..np).map(seed_for).collect()
-        };
+        let seed_of: Vec<usize> = (0..np).map(seed_for).collect();
         drop(screen_span);
 
         // --- Search phase ------------------------------------------
@@ -594,52 +526,25 @@ fn track_pruned_impl(
                 // Second chance at evaluation time: the incumbent may
                 // have improved since binning, so re-test the stored
                 // bound against the *current* threshold.
-                let eval_one = |i: usize, st: &mut EvalState| {
-                    eval_candidate(
+                for &i in &bins[oi] {
+                    if states[i].done {
+                        continue;
+                    }
+                    if lb[oi * np + i] > skip_threshold(states[i].best.error) {
+                        CANDIDATES_SKIPPED.incr();
+                        continue;
+                    }
+                    let op = eval_candidate(
                         frames,
                         cfg,
                         plane,
                         interior[i],
                         &systems[i],
-                        st,
+                        &mut states[i],
                         (ox, oy),
                         Mapping::Live,
-                    )
-                };
-                if parallel {
-                    let updated: Vec<(usize, Option<(EvalState, BandOp)>)> = bins[oi]
-                        .par_iter()
-                        .map(|&i| {
-                            if states[i].done {
-                                return (i, None);
-                            }
-                            if lb[oi * np + i] > skip_threshold(states[i].best.error) {
-                                CANDIDATES_SKIPPED.incr();
-                                return (i, None);
-                            }
-                            let mut st = states[i].clone();
-                            let op = eval_one(i, &mut st);
-                            (i, Some((st, op)))
-                        })
-                        .collect();
-                    for (i, up) in updated {
-                        if let Some((new, op)) = up {
-                            states[i] = new;
-                            bands.apply(i, oi, op);
-                        }
-                    }
-                } else {
-                    for &i in &bins[oi] {
-                        if states[i].done {
-                            continue;
-                        }
-                        if lb[oi * np + i] > skip_threshold(states[i].best.error) {
-                            CANDIDATES_SKIPPED.incr();
-                            continue;
-                        }
-                        let op = eval_one(i, &mut states[i]);
-                        bands.apply(i, oi, op);
-                    }
+                    );
+                    bands.apply(i, oi, op);
                 }
             }
         }
@@ -663,7 +568,6 @@ fn track_pruned_impl(
         &bands,
         table.as_ref(),
         &mut best,
-        parallel,
         &PRUNED_NEAR_TIE_COUNTERS,
     );
 
@@ -716,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn pruned_drivers_are_bit_identical_to_simd() {
+    fn pruned_driver_is_bit_identical_to_simd() {
         // The load-bearing equivalence: every estimate field must match
         // the SIMD driver (and through it the whole fastpath block) to
         // the bit, both models (SemiFluid exercises the raster
@@ -727,17 +631,11 @@ mod tests {
             let region = Region::Full;
             let simd = track_all_simd(&f, &cfg, region).expect("simd");
             let seq = track_all_pruned(&f, &cfg, region).expect("pruned");
-            let par = track_all_pruned_parallel(&f, &cfg, region).expect("pruned par");
             for (x, y) in simd.region.pixels() {
                 assert_eq!(
                     simd.estimates.at(x, y),
                     seq.estimates.at(x, y),
-                    "{model:?} seq ({x},{y})"
-                );
-                assert_eq!(
-                    simd.estimates.at(x, y),
-                    par.estimates.at(x, y),
-                    "{model:?} par ({x},{y})"
+                    "{model:?} ({x},{y})"
                 );
             }
         }

@@ -31,7 +31,6 @@
 //! the SIMD family, ULP-bounded with exact displacements against the
 //! scalar integral family.
 
-use rayon::prelude::*;
 use sma_fault::{FaultSite, SmaError};
 use sma_grid::{Grid, Vec2};
 use sma_linalg::gauss::Lu6;
@@ -83,7 +82,6 @@ pub(crate) struct PixelSystem {
 /// Per-pixel running search state, carried across the offset loop.
 /// Shared with the pruned driver family ([`crate::pruned`]), which
 /// carries the same state through its reordered candidate visits.
-#[derive(Clone)]
 pub(crate) struct EvalState {
     pub(crate) best: MotionEstimate,
     /// Runner-up error (`inf` = none yet, `-inf` = pixel already holds
@@ -251,30 +249,6 @@ pub fn track_all_simd(
     cfg: &SmaConfig,
     region: Region,
 ) -> Result<SmaResult, SmaError> {
-    track_simd_impl(frames, cfg, region, false)
-}
-
-/// [`track_all_simd`] with host parallelism (Rayon) over the border,
-/// per-offset evaluation sweep and near-tie re-route. Result-identical
-/// to the sequential SIMD driver.
-///
-/// # Errors
-/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
-/// frame size.
-pub fn track_all_simd_parallel(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-) -> Result<SmaResult, SmaError> {
-    track_simd_impl(frames, cfg, region, true)
-}
-
-fn track_simd_impl(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-    parallel: bool,
-) -> Result<SmaResult, SmaError> {
     let _span = sma_obs::span("track_simd");
     let (w, h) = frames.dims();
     let bounds = region.bounds_checked(w, h)?;
@@ -312,18 +286,8 @@ fn track_simd_impl(
     }
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &border);
     crate::cancel::checkpoint()?;
-    if parallel {
-        let tracked: Vec<((usize, usize), MotionEstimate)> = border
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in tracked {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &border {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
+    for &(x, y) in &border {
+        best.set(x, y, track_pixel(frames, cfg, x, y));
     }
 
     let interior: Vec<(usize, usize)> = bounds
@@ -384,11 +348,8 @@ fn track_simd_impl(
             },
         )
     };
-    let (systems, mut states): (Vec<PixelSystem>, Vec<EvalState>) = if parallel {
-        interior.par_iter().map(prefactor).unzip()
-    } else {
-        interior.iter().map(prefactor).unzip()
-    };
+    let (systems, mut states): (Vec<PixelSystem>, Vec<EvalState>) =
+        interior.iter().map(prefactor).unzip();
     drop(static_span);
 
     // Offset loop, ascending row-major — the same hypothesis order as
@@ -420,35 +381,19 @@ fn track_simd_impl(
             }
             let _eval_span = sma_obs::span("simd_eval");
             let mapping = table.as_ref().map_or(Mapping::Live, Mapping::Table);
-            let eval_one = |p: (usize, usize), sys: &PixelSystem, st: &mut EvalState| {
-                eval_candidate(frames, cfg, &planes, p, sys, st, (ox, oy), mapping)
-            };
-            if parallel {
-                let updated: Vec<Option<(EvalState, BandOp)>> = interior
-                    .par_iter()
-                    .enumerate()
-                    .map(|(i, &p)| {
-                        if states[i].done {
-                            None
-                        } else {
-                            let mut st = states[i].clone();
-                            let op = eval_one(p, &systems[i], &mut st);
-                            Some((st, op))
-                        }
-                    })
-                    .collect();
-                for (i, up) in updated.into_iter().enumerate() {
-                    if let Some((new, op)) = up {
-                        states[i] = new;
-                        bands.apply(i, oi, op);
-                    }
-                }
-            } else {
-                for (i, &p) in interior.iter().enumerate() {
-                    if !states[i].done {
-                        let op = eval_one(p, &systems[i], &mut states[i]);
-                        bands.apply(i, oi, op);
-                    }
+            for (i, &p) in interior.iter().enumerate() {
+                if !states[i].done {
+                    let op = eval_candidate(
+                        frames,
+                        cfg,
+                        &planes,
+                        p,
+                        &systems[i],
+                        &mut states[i],
+                        (ox, oy),
+                        mapping,
+                    );
+                    bands.apply(i, oi, op);
                 }
             }
             oi += 1;
@@ -466,7 +411,6 @@ fn track_simd_impl(
         &bands,
         table.as_ref(),
         &mut best,
-        parallel,
         &SIMD_NEAR_TIE_COUNTERS,
     );
 
@@ -579,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn simd_drivers_are_bit_identical_to_scalar_fastpath() {
+    fn simd_driver_is_bit_identical_to_scalar_fastpath() {
         // The load-bearing equivalence: every estimate field must match
         // the scalar integral driver to the bit, both models, region
         // including the border fallback ring.
@@ -589,17 +533,11 @@ mod tests {
             let region = Region::Full;
             let scalar = track_all_integral(&f, &cfg, region).expect("fastpath");
             let seq = track_all_simd(&f, &cfg, region).expect("simd");
-            let par = track_all_simd_parallel(&f, &cfg, region).expect("simd par");
             for (x, y) in scalar.region.pixels() {
                 assert_eq!(
                     scalar.estimates.at(x, y),
                     seq.estimates.at(x, y),
-                    "{model:?} seq ({x},{y})"
-                );
-                assert_eq!(
-                    scalar.estimates.at(x, y),
-                    par.estimates.at(x, y),
-                    "{model:?} par ({x},{y})"
+                    "{model:?} ({x},{y})"
                 );
             }
         }

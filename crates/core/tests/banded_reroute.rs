@@ -22,9 +22,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sma_core::sequential::{Region, SmaResult};
 use sma_core::{
-    track_all_integral, track_all_integral_parallel, track_all_integral_segmented,
-    track_all_planner, track_all_pruned, track_all_pruned_parallel, track_all_sequential,
-    track_all_simd, track_all_simd_parallel, MotionEstimate, MotionModel, SmaConfig, SmaError,
+    track_all_integral, track_all_integral_segmented, track_all_planner, track_all_pruned,
+    track_all_sequential, track_all_simd, MotionEstimate, MotionModel, SmaConfig, SmaError,
     SmaFrames,
 };
 use sma_grid::warp::translate;
@@ -36,18 +35,15 @@ static GLOBAL: Mutex<()> = Mutex::new(());
 type Driver = fn(&SmaFrames, &SmaConfig, Region) -> Result<SmaResult, SmaError>;
 
 /// The SIMD/pruned family and the planner: bit-identical whole grids.
-const SIMD_FAMILY: [(&str, Driver); 5] = [
+const SIMD_FAMILY: [(&str, Driver); 3] = [
     ("simd", track_all_simd),
-    ("simd_par", track_all_simd_parallel),
     ("pruned", track_all_pruned),
-    ("pruned_par", track_all_pruned_parallel),
     ("planner", track_all_planner),
 ];
 
 /// The scalar integral family: bit-identical whole grids.
-const INTEGRAL_FAMILY: [(&str, Driver); 4] = [
+const INTEGRAL_FAMILY: [(&str, Driver); 3] = [
     ("integral", track_all_integral),
-    ("integral_par", track_all_integral_parallel),
     ("integral_seg1", |f, c, r| {
         track_all_integral_segmented(f, c, r, 1)
     }),

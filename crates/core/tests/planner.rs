@@ -18,11 +18,15 @@ use sma_obs::atlas::{AtlasChannel, AtlasSnapshot};
 const SIDE: usize = 28;
 
 fn scene(cfg: &SmaConfig) -> SmaFrames {
-    let before = Grid::from_fn(SIDE, SIDE, |x, y| {
-        (x as f32 * 0.37).sin() * (y as f32 * 0.23).cos() + 0.1 * (x + 2 * y) as f32 / SIDE as f32
+    scene_of_side(cfg, SIDE)
+}
+
+fn scene_of_side(cfg: &SmaConfig, side: usize) -> SmaFrames {
+    let before = Grid::from_fn(side, side, |x, y| {
+        (x as f32 * 0.37).sin() * (y as f32 * 0.23).cos() + 0.1 * (x + 2 * y) as f32 / side as f32
     });
-    let after = Grid::from_fn(SIDE, SIDE, |x, y| {
-        let xs = (x as isize - 1).clamp(0, SIDE as isize - 1) as usize;
+    let after = Grid::from_fn(side, side, |x, y| {
+        let xs = (x as isize - 1).clamp(0, side as isize - 1) as usize;
         before.at(xs, y)
     });
     SmaFrames::prepare(&before, &after, &before, &after, cfg).expect("prepare")
@@ -88,7 +92,6 @@ fn one_by_one_tiles_stay_bit_identical() {
     let frames = scene(&cfg);
     let planner = ExecutionPlanner::with_knobs(PlannerKnobs {
         tile: 1,
-        parallel: false,
         ..PlannerKnobs::default()
     });
     // Region::Full makes the plan genuinely mixed: border rows of 1x1
@@ -152,7 +155,6 @@ fn all_invalid_tiles_execute_bit_identically() {
     let frames = SmaFrames::prepare(&before, &after, &before, &after, &cfg).expect("prepare");
     let planner = ExecutionPlanner::with_knobs(PlannerKnobs {
         tile: 8,
-        parallel: false,
         ..PlannerKnobs::default()
     });
     assert_mosaic_identity(&planner, &frames, &cfg, Region::Full);
@@ -174,7 +176,6 @@ fn non_dividing_tile_sizes_cover_the_region_exactly() {
     // 5 does not divide 28: the last row/column of tiles truncates.
     let planner = ExecutionPlanner::with_knobs(PlannerKnobs {
         tile: 5,
-        parallel: false,
         ..PlannerKnobs::default()
     });
     let plan = planner.plan(&frames, &cfg, Region::Full).expect("plan");
@@ -238,7 +239,6 @@ fn near_tie_feedback_replans_dense_tiles_onto_the_exact_kernel() {
     };
     let planner = ExecutionPlanner::with_knobs(PlannerKnobs {
         tile: 7,
-        parallel: false,
         ..PlannerKnobs::default()
     })
     .with_feedback(PlanFeedback::from_snapshot(snapshot));
@@ -274,12 +274,10 @@ fn planner_driver_trait_names_and_census() {
     let frames = scene(&cfg);
     let planner = ExecutionPlanner::default();
     assert_eq!(Driver::name(&planner), "planner_auto");
-    assert_eq!(Driver::name(&Strategy::SimdParallel), "simd_par");
+    assert_eq!(Driver::name(&Strategy::Simd), "simd");
     // Default 16px tiles on a 28^2 frame: every tile overlaps the
     // interior rect, so the plan is uniform pruned search (the 5 x 5
-    // sweep of small_test clears PRUNE_MIN_HYPOTHESES) — sequential,
-    // because 784 tracked pixels sit far below the row-parallel
-    // cutover.
+    // sweep of small_test clears PRUNE_MIN_HYPOTHESES).
     let plan = planner.plan(&frames, &cfg, Region::Full).expect("plan");
     assert_eq!(plan.uniform_strategy(), Some(Strategy::Pruned));
     // 3px tiles leave whole tiles inside the border band (nzt = 3), so
@@ -293,4 +291,75 @@ fn planner_driver_trait_names_and_census() {
     let total: usize = census.iter().map(|(_, c)| c).sum();
     assert_eq!(total, plan.tiles.len());
     assert!(census.len() >= 2, "census: {census:?}");
+}
+
+/// The display name of every strategy. The exhaustive match makes a new
+/// variant a compile error here, so the roster below stays complete.
+fn roster_name(s: Strategy) -> &'static str {
+    match s {
+        Strategy::Sequential
+        | Strategy::Segmented { .. }
+        | Strategy::Integral
+        | Strategy::IntegralSegmented { .. }
+        | Strategy::Simd
+        | Strategy::Pruned
+        | Strategy::TranslationOnly => s.name(),
+    }
+}
+
+#[test]
+fn strategy_roster_is_one_driver_per_family() {
+    let roster = [
+        Strategy::Sequential,
+        Strategy::Segmented { z_rows: 1 },
+        Strategy::Integral,
+        Strategy::IntegralSegmented { z_rows: 1 },
+        Strategy::Simd,
+        Strategy::Pruned,
+        Strategy::TranslationOnly,
+    ];
+    let names: Vec<&str> = roster.into_iter().map(roster_name).collect();
+    assert_eq!(
+        names,
+        [
+            "sequential",
+            "segmented",
+            "integral",
+            "integral_seg",
+            "simd",
+            "pruned",
+            "translation_only"
+        ]
+    );
+}
+
+#[test]
+fn large_regions_plan_the_same_drivers_bit_identically() {
+    // A tracked region of at least 2^15 pixels, the size at which the
+    // planner used to switch to row-parallel variants. Both models: the
+    // continuous one plans pruned search, the semi-fluid one SIMD.
+    for (model, want) in [
+        (MotionModel::Continuous, Strategy::Pruned),
+        (MotionModel::SemiFluid, Strategy::Simd),
+    ] {
+        let cfg = SmaConfig::small_test(model);
+        let frames = scene_of_side(&cfg, 204);
+        let region = Region::Interior {
+            margin: cfg.margin(),
+        };
+        let plan = ExecutionPlanner::default()
+            .plan(&frames, &cfg, region)
+            .expect("plan");
+        assert!(plan.region.area() >= 1 << 15, "{:?}", plan.region);
+        assert_eq!(plan.uniform_strategy(), Some(want), "{model:?}");
+        let planned = track_all_planner(&frames, &cfg, region).expect("planner");
+        let direct = want.run(&frames, &cfg, region).expect("driver");
+        for (x, y) in planned.region.pixels() {
+            assert_eq!(
+                planned.estimates.at(x, y),
+                direct.estimates.at(x, y),
+                "{model:?} ({x},{y})"
+            );
+        }
+    }
 }

@@ -13,8 +13,8 @@
 //!   `(2N+1) x (2N+1)` windows the paper's every step is phrased in;
 //! * [`filter`] — separable convolution, Gaussian and binomial smoothing,
 //!   central-difference gradients;
-//! * [`integral`] — summed-area tables for O(1) window sums (the NCC
-//!   fast path);
+//! * [`integral`] — multi-channel summed-area tables for O(1) window
+//!   sums (the SMA moment fast path);
 //! * [`prune`] — decimated-lattice summed-area tables and 3 x 3
 //!   quadratic-minimum kernels backing the pruned-search drivers'
 //!   admissible candidate bounds;
@@ -53,7 +53,7 @@ pub mod window;
 pub use border::BorderPolicy;
 pub use flow::{FlowField, FlowStats, Vec2};
 pub use grid::Grid;
-pub use integral::{IntegralImage, MomentIntegral};
+pub use integral::MomentIntegral;
 pub use validity::{quarantine, ValidityMask};
 pub use window::{CenteredWindow, WindowBounds};
 

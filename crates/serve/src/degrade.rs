@@ -69,15 +69,11 @@ impl DegradeLevel {
         }
     }
 
-    /// The planner knobs this rung targets. Worker threads run one pair
-    /// each, so every rung plans the sequential (non-Rayon) variants —
-    /// the same drivers the ladder called directly before the planner
-    /// existed, keeping per-rung output bits unchanged.
+    /// The planner knobs this rung targets: the same drivers the ladder
+    /// called directly before the planner existed, keeping per-rung
+    /// output bits unchanged.
     pub fn knobs(self) -> PlannerKnobs {
-        let base = PlannerKnobs {
-            parallel: false,
-            ..PlannerKnobs::default()
-        };
+        let base = PlannerKnobs::default();
         match self {
             DegradeLevel::Simd => base,
             DegradeLevel::Integral => PlannerKnobs {
@@ -169,10 +165,10 @@ mod tests {
 
     #[test]
     fn rungs_map_to_planner_knobs() {
-        // Top rung: SIMD family allowed, sequential execution.
+        // Top rung: SIMD family allowed.
         let top = DegradeLevel::Simd.knobs();
         assert!(top.allow_simd && top.allow_integral);
-        assert!(!top.translation_only && !top.parallel);
+        assert!(!top.translation_only);
         // One down: SIMD forbidden, integral family still allowed.
         let mid = DegradeLevel::Integral.knobs();
         assert!(!mid.allow_simd && mid.allow_integral);

@@ -11,14 +11,11 @@ use sma_grid::{BorderPolicy, Grid};
 
 /// Minimum template variance for a meaningful correlation score; flatter
 /// (textureless) templates return [`NEUTRAL_SCORE`] (no evidence).
-///
-/// Shared with the integral-image path in [`crate::ncc_fast`] so both
-/// paths classify the same windows as textureless — the conformance
-/// harness relies on the two paths agreeing on the neutral branch.
+/// The pruned matcher brackets its neutral branch around this value.
 pub const MIN_VARIANCE: f64 = 1e-8;
 
 /// Score reported for windows with no correlation evidence (textureless,
-/// or numerically degenerate). Shared by both NCC paths.
+/// or numerically degenerate).
 pub const NEUTRAL_SCORE: f64 = 0.0;
 
 /// Zero-mean NCC between the `(2n+1)^2` template centered at `(x, y)` in

@@ -149,7 +149,11 @@ fn run_scenario(s: &Scenario, cfg: &SmaConfig) -> Row {
             run_driver(s.driver, &pair, cfg, region).expect("naive run")
         })
         .collect();
-    let mut engine = StreamEngine::new(sequence_frames(seq), *cfg, budget_bytes);
+    // Pipelining pinned on: the prefetch turns frame t+2's first lookup
+    // into a hit, so the recorded cache counts would otherwise depend on
+    // the host's CPU count (the engine's default).
+    let mut engine =
+        StreamEngine::new(sequence_frames(seq), *cfg, budget_bytes).with_pipelining(true);
     let streamed = engine
         .run(|_, frames| run_driver(s.driver, frames, cfg, region))
         .expect("streamed run");

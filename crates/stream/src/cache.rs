@@ -2,7 +2,7 @@
 //!
 //! On an N-frame sequence every interior frame participates in two
 //! adjacent pairs, so its derived planes — quarantined inputs, geometry
-//! field, discriminant, validity, NCC view tables, image pyramids — are
+//! field, discriminant, validity, image pyramids — are
 //! worth keeping alive across pairs instead of recomputing per pair.
 //! [`ArtifactCache`] holds them keyed by `(frame id, kind)`, with every
 //! plane `Arc`-shared so a cache hit is a pointer copy.
@@ -23,7 +23,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use sma_core::{FrameArtifacts, SmaConfig, SmaError};
 use sma_grid::pyramid::Pyramid;
 use sma_grid::{Grid, ValidityMask};
-use sma_stereo::ViewTables;
 
 static CACHE_HITS: sma_obs::Counter = sma_obs::Counter::new("stream.cache_hits");
 static CACHE_MISSES: sma_obs::Counter = sma_obs::Counter::new("stream.cache_misses");
@@ -38,8 +37,6 @@ pub enum ArtifactKind {
     /// The [`FrameArtifacts`] set (quarantined planes, geometry,
     /// discriminant, validity).
     Frame,
-    /// Per-view NCC sum/squared-sum tables ([`ViewTables`]).
-    NccTables,
     /// Gaussian pyramid of the intensity plane (all levels; level `k`
     /// is reachable without copying via `Pyramid::level_arc`).
     IntensityPyramid,
@@ -52,8 +49,6 @@ pub enum ArtifactKind {
 pub enum CachedArtifact {
     /// A full [`FrameArtifacts`] set.
     Frame(Arc<FrameArtifacts>),
-    /// NCC per-view tables.
-    NccTables(ViewTables),
     /// Intensity pyramid.
     IntensityPyramid(Pyramid),
     /// Validity-mask pyramid.
@@ -65,7 +60,6 @@ impl CachedArtifact {
     pub fn kind(&self) -> ArtifactKind {
         match self {
             CachedArtifact::Frame(_) => ArtifactKind::Frame,
-            CachedArtifact::NccTables(_) => ArtifactKind::NccTables,
             CachedArtifact::IntensityPyramid(_) => ArtifactKind::IntensityPyramid,
             CachedArtifact::ValidityPyramid(_) => ArtifactKind::ValidityPyramid,
         }
@@ -79,7 +73,6 @@ impl CachedArtifact {
     pub fn charged_bytes(&self) -> usize {
         match self {
             CachedArtifact::Frame(a) => a.resident_bytes(),
-            CachedArtifact::NccTables(t) => t.resident_bytes(),
             CachedArtifact::IntensityPyramid(p) => (1..p.num_levels())
                 .map(|k| p.level(k).len() * std::mem::size_of::<f32>())
                 .sum(),
@@ -96,11 +89,10 @@ impl CachedArtifact {
 
     /// Number of distinct planes the entry holds (the eviction counter's
     /// unit): 5 for a frame set (intensity, surface, validity, geometry,
-    /// discriminant), 2 for NCC tables, one per pyramid level.
+    /// discriminant), one per pyramid level.
     fn plane_count(&self) -> u64 {
         match self {
             CachedArtifact::Frame(_) => 5,
-            CachedArtifact::NccTables(_) => 2,
             CachedArtifact::IntensityPyramid(p) => p.num_levels() as u64,
             CachedArtifact::ValidityPyramid(masks) => masks.len() as u64,
         }
@@ -262,6 +254,20 @@ impl ArtifactCache {
     /// the hit/miss statistics (used by the prefetch decision).
     pub fn contains(&self, frame: usize, kind: ArtifactKind) -> bool {
         self.entries.iter().any(|(k, _, _)| *k == (frame, kind))
+    }
+
+    /// Whether one more entry as large as the resident `(frame, kind)`
+    /// fits without evicting that entry or anything used after it. The
+    /// prefetch asks this about frame `t+1` before preparing `t+2`: a
+    /// prefetch that pushed `t+1` out would turn the next pair's lookup
+    /// into a recompute. `false` when the entry is not resident.
+    pub fn fits_another_like(&self, frame: usize, kind: ArtifactKind) -> bool {
+        let key = (frame, kind);
+        let Some(pos) = self.entries.iter().position(|(k, _, _)| *k == key) else {
+            return false;
+        };
+        let newer: usize = self.entries[pos..].iter().map(|(_, _, b)| b).sum();
+        newer + self.entries[pos].2 <= self.budget_bytes
     }
 
     /// Look up `(frame, kind)`, marking the entry most-recently-used on
@@ -447,6 +453,21 @@ mod tests {
     }
 
     #[test]
+    fn fits_another_like_counts_only_entries_at_or_after_the_key() {
+        let bytes = artifacts(0.0).resident_bytes();
+        let mut c = ArtifactCache::new(2 * bytes + bytes / 2);
+        assert!(!c.fits_another_like(0, ArtifactKind::Frame), "not resident");
+        c.insert(0, CachedArtifact::Frame(artifacts(0.0)));
+        c.insert(1, CachedArtifact::Frame(artifacts(1.0)));
+        // Frame 0 would be the eviction victim, so a third frame fits
+        // alongside frame 1 but not alongside frames 0 and 1.
+        assert!(c.fits_another_like(1, ArtifactKind::Frame));
+        assert!(!c.fits_another_like(0, ArtifactKind::Frame));
+        c.resize_budget(bytes + bytes / 2);
+        assert!(!c.fits_another_like(1, ArtifactKind::Frame));
+    }
+
+    #[test]
     fn high_water_never_exceeds_budget() {
         let a = artifacts(0.0);
         let bytes = a.resident_bytes();
@@ -462,16 +483,16 @@ mod tests {
     #[test]
     fn kinds_are_independent_keys() {
         let a = artifacts(0.0);
-        let tables = ViewTables::build(&a.intensity);
+        let pyramid =
+            CachedArtifact::IntensityPyramid(Pyramid::build_arc(Arc::clone(&a.intensity), 3));
+        let pyramid_bytes = pyramid.charged_bytes();
+        assert!(pyramid_bytes > 0);
         let mut c = ArtifactCache::new(usize::MAX);
         c.insert(0, CachedArtifact::Frame(Arc::clone(&a)));
-        c.insert(0, CachedArtifact::NccTables(tables));
+        c.insert(0, pyramid);
         assert!(c.contains(0, ArtifactKind::Frame));
-        assert!(c.contains(0, ArtifactKind::NccTables));
-        assert_eq!(
-            c.resident_bytes(),
-            a.resident_bytes() + ViewTables::build(&a.intensity).resident_bytes()
-        );
+        assert!(c.contains(0, ArtifactKind::IntensityPyramid));
+        assert_eq!(c.resident_bytes(), a.resident_bytes() + pyramid_bytes);
     }
 
     #[test]

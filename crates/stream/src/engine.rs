@@ -30,7 +30,6 @@ use sma_fault::GridError;
 use sma_grid::pyramid::Pyramid;
 use sma_grid::{Grid, ValidityMask};
 use sma_satdata::SceneSequence;
-use sma_stereo::ViewTables;
 
 use crate::cache::{ArtifactCache, ArtifactKind, CacheStats, CachedArtifact};
 
@@ -180,25 +179,6 @@ impl<'a> StreamEngine<'a> {
         SmaFrames::from_artifacts(&before, &after)
     }
 
-    /// Per-view NCC sum/squared-sum tables of frame `t`'s intensity
-    /// plane, cached under [`ArtifactKind::NccTables`]. Feed two of
-    /// these to `NccPrecomp::build_with_views` to reuse the per-view
-    /// half of the stereo precompute across disparity searches.
-    ///
-    /// # Errors
-    /// Propagates preparation failures.
-    pub fn view_tables(&mut self, t: usize) -> Result<ViewTables, SmaError> {
-        if let Some(CachedArtifact::NccTables(tables)) = self.cache.get(t, ArtifactKind::NccTables)
-        {
-            return Ok(tables);
-        }
-        let a = self.artifacts(t)?;
-        let tables = ViewTables::build(&a.intensity);
-        self.cache
-            .insert(t, CachedArtifact::NccTables(tables.clone()));
-        Ok(tables)
-    }
-
     /// The intensity pyramid of frame `t` with up to `n_levels` levels,
     /// cached under [`ArtifactKind::IntensityPyramid`]. Level 0 shares
     /// the cached artifact's intensity plane (`Pyramid::build_arc`), so
@@ -263,8 +243,13 @@ impl<'a> StreamEngine<'a> {
         let mut out = Vec::with_capacity(n - 1);
         for t in 0..n - 1 {
             let pair = self.pair(t)?;
-            let want_prefetch =
-                self.pipelined && t + 2 < n && !self.cache.contains(t + 2, ArtifactKind::Frame);
+            // Skip a prefetch the budget can only hold by evicting frame
+            // t+1, which the next pair reads: the run then matches the
+            // unpipelined one instead of missing on every lookup.
+            let want_prefetch = self.pipelined
+                && t + 2 < n
+                && !self.cache.contains(t + 2, ArtifactKind::Frame)
+                && self.cache.fits_another_like(t + 1, ArtifactKind::Frame);
             if want_prefetch {
                 let src = self.frames[t + 2];
                 let cfg = self.cfg;
@@ -410,22 +395,6 @@ mod tests {
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.estimates, rb.estimates);
         }
-    }
-
-    #[test]
-    fn view_tables_match_direct_build() {
-        let seq = florida_thunderstorm_analog(40, 3, 5);
-        let cfg = small_cfg();
-        let mut engine = StreamEngine::with_goddard_budget(sequence_frames(&seq), cfg);
-        let cached = engine.view_tables(1).expect("tables");
-        let direct = ViewTables::build(&engine.artifacts(1).unwrap().intensity);
-        assert_eq!(cached.sum.as_ref(), direct.sum.as_ref());
-        assert_eq!(cached.sq.as_ref(), direct.sq.as_ref());
-        // Second fetch is a pointer-copy hit.
-        let hits = engine.cache_stats().hits;
-        let again = engine.view_tables(1).expect("tables");
-        assert!(Arc::ptr_eq(&again.sum, &cached.sum));
-        assert_eq!(engine.cache_stats().hits, hits + 1);
     }
 
     #[test]

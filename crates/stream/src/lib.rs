@@ -10,8 +10,7 @@
 //! gap:
 //!
 //! * [`cache::ArtifactCache`] — per-frame derived planes
-//!   ([`sma_core::FrameArtifacts`], NCC view tables, image/validity
-//!   pyramids), `Arc`-shared, keyed by `(frame id, kind)`, with LRU
+//!   ([`sma_core::FrameArtifacts`], image/validity pyramids), `Arc`-shared, keyed by `(frame id, kind)`, with LRU
 //!   eviction budgeted against the §4.3 memory model
 //!   ([`maspar_sim::memory::MemoryBudget::stream_cache_bytes`]).
 //! * [`engine::StreamEngine`] — drives any pairwise driver over the

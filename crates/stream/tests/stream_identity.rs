@@ -4,40 +4,31 @@
 //! pipelining are *pure plumbing*: for every driver, running over
 //! engine-assembled pairs produces bit-for-bit the same estimates as
 //! the naive per-pair [`SmaFrames::prepare`]. These tests replay a
-//! 6-frame Florida-analog sequence through all nine drivers, force
+//! 6-frame Florida-analog sequence through the drivers, force
 //! eviction-induced recomputes, and toggle observability — none of it
 //! may move a single output bit.
 
 use maspar_sim::machine::{MachineConfig, MasPar, ReadoutScheme};
-use sma_core::fastpath::{
-    track_all_integral, track_all_integral_parallel, track_all_integral_segmented,
-};
+use sma_core::fastpath::{track_all_integral, track_all_integral_segmented};
 use sma_core::maspar_driver::track_on_maspar;
 use sma_core::precompute::track_all_segmented;
 use sma_core::sequential::{Region, SmaResult};
-use sma_core::{
-    track_all_parallel, track_all_sequential, track_all_simd, track_all_simd_parallel, MotionModel,
-    SmaConfig, SmaError, SmaFrames,
-};
+use sma_core::{track_all_sequential, track_all_simd, MotionModel, SmaConfig, SmaError, SmaFrames};
 use sma_satdata::{florida_thunderstorm_analog, SceneSequence};
-use sma_stream::{goddard_cache_budget, sequence_frames, StreamEngine};
+use sma_stream::{goddard_cache_budget, sequence_frames, CacheStats, StreamEngine};
 
 /// Hypothesis-row chunk for the segmented drivers (2 rows forces
 /// multi-segment checkpointing at the test windows).
 const SEGMENT_Z_ROWS: usize = 2;
 
-/// The SmaFrames-consuming drivers (eight of the nine; the MasPar
-/// driver prepares internally from raw planes and is covered
-/// separately).
-const FRAME_DRIVERS: [&str; 8] = [
+/// The SmaFrames-consuming drivers (the MasPar driver prepares
+/// internally from raw planes and is covered separately).
+const FRAME_DRIVERS: [&str; 5] = [
     "sequential",
-    "parallel",
     "segmented",
     "fastpath",
-    "fastpath_par",
     "fastpath_seg",
     "fastpath_simd_seq",
-    "fastpath_simd_par",
 ];
 
 fn run_driver(
@@ -48,13 +39,10 @@ fn run_driver(
 ) -> Result<SmaResult, SmaError> {
     match name {
         "sequential" => track_all_sequential(frames, cfg, region),
-        "parallel" => track_all_parallel(frames, cfg, region),
         "segmented" => track_all_segmented(frames, cfg, region, SEGMENT_Z_ROWS),
         "fastpath" => track_all_integral(frames, cfg, region),
-        "fastpath_par" => track_all_integral_parallel(frames, cfg, region),
         "fastpath_seg" => track_all_integral_segmented(frames, cfg, region, SEGMENT_Z_ROWS),
         "fastpath_simd_seq" => track_all_simd(frames, cfg, region),
-        "fastpath_simd_par" => track_all_simd_parallel(frames, cfg, region),
         other => panic!("unknown driver {other}"),
     }
 }
@@ -167,22 +155,20 @@ fn forced_eviction_recompute_stays_bit_identical() {
         .iter()
         .map(|p| track_all_sequential(p, &cfg, region).expect("naive run"))
         .collect();
-    // Budget for ~1.5 frame-artifact sets, pipelining forced on: the
-    // prefetch of frame t+2 evicts frame t+1 before pair (t+1, t+2)
-    // fetches it, so interior frames recompute. (Without pipelining the
-    // LRU victim is always the frame that is never needed again — the
-    // in-hand Arc keeps pair assembly working — so even this budget
-    // would stream without recomputes.)
-    let probe = StreamEngine::with_goddard_budget(sequence_frames(&seq), cfg)
-        .artifact_bytes_probe()
-        .expect("probe");
-    let tight = probe + probe / 2;
-    let mut engine = StreamEngine::new(sequence_frames(&seq), cfg, tight).with_pipelining(true);
-    let streamed = engine
-        .run(|_, frames| track_all_sequential(frames, &cfg, region))
-        .expect("streamed run");
-    for (t, (s, n)) in streamed.iter().zip(&naive).enumerate() {
-        assert_eq!(s.estimates, n.estimates, "eviction diverged on pair {t}");
+    // Budget for ~1.5 frame-artifact sets: every admission past the
+    // first frame evicts. Assembling the pairs in reverse order makes
+    // each pair's later frame one that was just evicted, so interior
+    // frames recompute. (In forward order the LRU victim is always the
+    // frame that is never needed again.)
+    let tight = tight_budget(&seq, &cfg);
+    let mut engine = StreamEngine::new(sequence_frames(&seq), cfg, tight);
+    for t in (0..seq.len() - 1).rev() {
+        let pair = engine.pair(t).expect("streamed pair");
+        let s = track_all_sequential(&pair, &cfg, region).expect("streamed run");
+        assert_eq!(
+            s.estimates, naive[t].estimates,
+            "eviction diverged on pair {t}"
+        );
     }
     let stats = engine.cache_stats();
     assert!(stats.evictions > 0, "eviction never happened: {stats:?}");
@@ -195,6 +181,48 @@ fn forced_eviction_recompute_stays_bit_identical() {
         "high water {} over budget {tight}",
         stats.high_water_bytes
     );
+}
+
+/// About 1.5 frame-artifact sets: room for one frame, not two.
+fn tight_budget(seq: &SceneSequence, cfg: &SmaConfig) -> usize {
+    let probe = StreamEngine::with_goddard_budget(sequence_frames(seq), *cfg)
+        .artifact_bytes_probe()
+        .expect("probe");
+    probe + probe / 2
+}
+
+#[test]
+fn tight_budget_pipelining_keeps_unpipelined_cache_counts() {
+    // Under a 1.5-frame budget the prefetch of frame t+2 could only be
+    // held by evicting frame t+1, which the next pair reads. The engine
+    // skips that prefetch, so a pipelined run hits, misses and evicts
+    // exactly as the pipelining-off run does.
+    let seq = test_sequence();
+    let cfg = SmaConfig::small_test(MotionModel::Continuous);
+    let region = Region::Interior {
+        margin: cfg.margin(),
+    };
+    let tight = tight_budget(&seq, &cfg);
+    let run = |pipelined: bool| {
+        let mut engine =
+            StreamEngine::new(sequence_frames(&seq), cfg, tight).with_pipelining(pipelined);
+        let out = engine
+            .run(|_, frames| track_all_sequential(frames, &cfg, region))
+            .expect("streamed run");
+        (out, engine.cache_stats())
+    };
+    let (piped, piped_stats) = run(true);
+    let (plain, plain_stats) = run(false);
+    let counts = |s: CacheStats| (s.hits, s.misses, s.evictions);
+    assert_eq!(counts(piped_stats), counts(plain_stats));
+    assert_eq!(plain_stats.misses, seq.len() as u64, "{plain_stats:?}");
+    assert!(
+        plain_stats.hits > 0 && plain_stats.evictions > 0,
+        "{plain_stats:?}"
+    );
+    for (t, (a, b)) in piped.iter().zip(&plain).enumerate() {
+        assert_eq!(a.estimates, b.estimates, "pair {t}");
+    }
 }
 
 #[test]

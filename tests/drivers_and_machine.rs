@@ -1,5 +1,6 @@
 //! Cross-crate driver equivalence and machine-level checks on satellite
-//! analog data: sequential == parallel == segmented == MasPar, plus the
+//! analog data: sequential == segmented == MasPar (the §5.1 parallel ==
+//! sequential claim, on the simulated PE array), plus the
 //! ledger/memory behavior of the machine run.
 
 use sma::core::maspar_driver::track_on_maspar;
@@ -32,7 +33,6 @@ fn all_four_drivers_agree() {
     };
 
     let reference = track_all_sequential(&frames, &cfg, region).expect("track");
-    let parallel = sma::core::track_all_parallel(&frames, &cfg, region).expect("track");
     let segmented = track_all_segmented(&frames, &cfg, region, 2).expect("track");
 
     let mut machine = MasPar::new(MachineConfig {
@@ -54,11 +54,6 @@ fn all_four_drivers_agree() {
 
     for (x, y) in reference.region.pixels() {
         let r = reference.estimates.at(x, y);
-        assert_eq!(
-            r,
-            parallel.estimates.at(x, y),
-            "parallel differs at ({x},{y})"
-        );
         assert_eq!(
             r,
             segmented.estimates.at(x, y),

@@ -1,13 +1,12 @@
 //! End-to-end §5.1 pipeline: synthetic GOES stereo pairs -> ASA height
 //! maps -> semi-fluid motion analysis -> wind-barb accuracy, asserting
-//! the paper's claims (parallel == sequential, RMS < 1 px vs the 32
-//! reference vectors).
+//! the paper's claims (fast drivers == sequential, RMS < 1 px vs the 32
+//! reference vectors; the MasPar driver's parallel == sequential claim
+//! is pinned in `drivers_and_machine.rs`).
 
 use sma::core::motion::{MotionEstimate, SmaFrames};
 use sma::core::sequential::{track_all_sequential, Region, SmaResult};
-use sma::core::{
-    track_all_parallel, track_all_planner, track_all_simd, MotionModel, SmaConfig, SmaError,
-};
+use sma::core::{track_all_planner, track_all_simd, MotionModel, SmaConfig, SmaError};
 use sma::satdata::hurricane_frederic_analog;
 use sma::satdata::tracers::{pick_tracers, tracer_points};
 use sma::stereo::{Asa, AsaConfig};
@@ -52,7 +51,7 @@ fn stereo_to_semifluid_tracking_is_subpixel_at_tracers() {
     )
     .expect("prepare");
     let margin = cfg.margin() + 2;
-    let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+    let result = track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
     assert!(
         result.valid_fraction() > 0.9,
         "valid {}",
@@ -75,7 +74,8 @@ fn stereo_to_semifluid_tracking_is_subpixel_at_tracers() {
 fn parallel_equals_sequential_on_real_scene() {
     // §5.1: "The parallel algorithm obtained the same result as the
     // sequential implementation" — asserted on satellite-analog data,
-    // not just synthetic waves.
+    // not just synthetic waves, for the host fast drivers that stand in
+    // for the PE array's data-parallel sweep.
     let seq = hurricane_frederic_analog(64, 2, 7);
     let cfg = SmaConfig {
         model: MotionModel::SemiFluid,
@@ -97,10 +97,6 @@ fn parallel_equals_sequential_on_real_scene() {
         margin: cfg.margin() + 2,
     };
     let s = track_all_sequential(&frames, &cfg, region).expect("track");
-    let p = track_all_parallel(&frames, &cfg, region).expect("track");
-    for (x, y) in s.region.pixels() {
-        assert_eq!(s.estimates.at(x, y), p.estimates.at(x, y), "at ({x},{y})");
-    }
 
     // The moment fast path on the same real Fsemi scene: most interior
     // pixels are near-ties here, re-routed through the banded exact

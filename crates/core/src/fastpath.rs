@@ -38,7 +38,7 @@
 //! 1e-6 relative).
 
 use sma_fault::{FaultSite, SmaError};
-use sma_grid::{Grid, MomentIntegral, Vec2};
+use sma_grid::{Grid, MomentIntegral, Vec2, WindowBounds};
 
 use crate::affine::LocalAffine;
 use crate::config::SmaConfig;
@@ -552,33 +552,39 @@ pub fn track_all_integral_segmented(
     track_integral_impl(frames, cfg, region, z_rows)
 }
 
-fn track_integral_impl(
+/// The region split every moment driver starts with. Border pixels
+/// (the template window crosses the frame edge, so the rectangular-sum
+/// identity does not hold) are tracked with the exact kernel into the
+/// returned grid. Under an armed fault harness, pixels whose moment-plane
+/// window sums are poisoned ([`FaultSite::MomentPlane`]) join the same
+/// exact-kernel route after the border, in raster order; the re-route
+/// fully restores the exact result, so each such injection is
+/// *recovered*. The remaining pixels come back as the interior list, in
+/// raster order, marked on the driver's `dispatch` atlas channel.
+///
+/// # Errors
+/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
+/// frame size; [`SmaError::DeadlineExceeded`] from a cancellation point.
+#[allow(clippy::type_complexity)] // (bounds, estimates, interior)
+pub(crate) fn route_region(
     frames: &SmaFrames,
     cfg: &SmaConfig,
     region: Region,
-    z_rows: usize,
-) -> Result<SmaResult, SmaError> {
-    let _span = sma_obs::span("track_integral");
+    border_pixels: &'static sma_obs::Counter,
+    interior_pixels: &'static sma_obs::Counter,
+    dispatch: sma_obs::atlas::AtlasChannel,
+) -> Result<(WindowBounds, Grid<MotionEstimate>, Vec<(usize, usize)>), SmaError> {
     let (w, h) = frames.dims();
     let bounds = region.bounds_checked(w, h)?;
     crate::cancel::checkpoint()?;
-    let ns = cfg.nzs as isize;
-    let nt = cfg.nzt;
     let template = cfg.template_window();
-
     let mut best: Grid<MotionEstimate> = Grid::filled(w, h, MotionEstimate::invalid());
 
-    // Border pixels: the template window crosses the frame edge, so the
-    // rectangular-sum identity does not hold — use the exact kernel.
-    // Under an armed fault harness, pixels whose moment-plane window
-    // sums are poisoned (FaultSite::MomentPlane) join the same exact-
-    // kernel route: the re-route fully restores the exact result, so
-    // each such injection is *recovered*.
     let mut border: Vec<(usize, usize)> = bounds
         .pixels()
         .filter(|&(x, y)| !template.fits_at(x, y, w, h))
         .collect();
-    BORDER_FALLBACK.add(border.len() as u64);
+    border_pixels.add(border.len() as u64);
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::BorderFallback, &border);
     let mut poisoned: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
     if sma_fault::enabled() {
@@ -592,13 +598,10 @@ fn track_integral_impl(
                 }
             }
         }
-        // Deterministic processing order for the re-routed pixels.
         let mut rerouted: Vec<(usize, usize)> = poisoned.iter().copied().collect();
         rerouted.sort_unstable();
         border.extend(rerouted);
     }
-    // Border pixels (and poisoned-plane re-routes) are served by the
-    // exact kernel: both dispatch planes of the telemetry atlas.
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &border);
     crate::cancel::checkpoint()?;
     for &(x, y) in &border {
@@ -609,14 +612,35 @@ fn track_integral_impl(
         .pixels()
         .filter(|&(x, y)| template.fits_at(x, y, w, h) && !poisoned.contains(&(x, y)))
         .collect();
-    INTERIOR_FAST.add(interior.len() as u64);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchIntegral, &interior);
+    interior_pixels.add(interior.len() as u64);
+    sma_obs::atlas::mark_batch(dispatch, &interior);
+    Ok((bounds, best, interior))
+}
+
+fn track_integral_impl(
+    frames: &SmaFrames,
+    cfg: &SmaConfig,
+    region: Region,
+    z_rows: usize,
+) -> Result<SmaResult, SmaError> {
+    let _span = sma_obs::span("track_integral");
+    let (bounds, mut best, interior) = route_region(
+        frames,
+        cfg,
+        region,
+        &BORDER_FALLBACK,
+        &INTERIOR_FAST,
+        sma_obs::atlas::AtlasChannel::DispatchIntegral,
+    )?;
     if interior.is_empty() {
         return Ok(SmaResult {
             estimates: best,
             region: bounds,
         });
     }
+    let (w, h) = frames.dims();
+    let ns = cfg.nzs as isize;
+    let nt = cfg.nzt;
 
     let stat = {
         let _span = sma_obs::span("static_moments");
@@ -861,21 +885,7 @@ mod tests {
     use crate::config::MotionModel;
     use crate::motion::evaluate_hypothesis;
     use crate::sequential::track_all_sequential;
-    use sma_grid::warp::translate;
-    use sma_grid::BorderPolicy;
-
-    fn wavy(w: usize, h: usize) -> Grid<f32> {
-        Grid::from_fn(w, h, |x, y| {
-            let (xf, yf) = (x as f32, y as f32);
-            (xf * 0.45).sin() * 2.0 + (yf * 0.35).cos() * 1.5 + (xf * 0.12 + yf * 0.21).sin() * 3.0
-        })
-    }
-
-    fn frames_for_shift(dx: f32, dy: f32, cfg: &SmaConfig) -> SmaFrames {
-        let before = wavy(30, 30);
-        let after = translate(&before, -dx, -dy, BorderPolicy::Clamp);
-        SmaFrames::prepare(&before, &after, &before, &after, cfg).expect("prepare")
-    }
+    use crate::test_scenes::frames_for_shift;
 
     /// The moment assembly must reproduce the sample-loop normal
     /// equations: same solution and error (up to association order) for
@@ -1001,6 +1011,22 @@ mod tests {
         );
         assert_eq!(
             crate::precompute::track_all_segmented(&f, &cfg, region, 2).map(|_| ()),
+            expected
+        );
+        assert_eq!(
+            track_all_integral_segmented(&f, &cfg, region, 2).map(|_| ()),
+            expected
+        );
+        // Pruned under both models, the configurations that select the
+        // screened search and the raster loop.
+        assert_eq!(
+            crate::pruned::track_all_pruned(&f, &cfg, region).map(|_| ()),
+            expected
+        );
+        let semi = SmaConfig::small_test(MotionModel::SemiFluid);
+        let fs = frames_for_shift(1.0, 0.0, &semi);
+        assert_eq!(
+            crate::pruned::track_all_pruned(&fs, &semi, region).map(|_| ()),
             expected
         );
     }

@@ -47,11 +47,12 @@
 //!   one resident 8-channel offset plane per hypothesis offset —
 //!   bit-identical to [`fastpath`] on every tested scene, ≥3× faster
 //!   on the medium bench scenario;
-//! * [`pruned`] — the pruned-search family: candidates ordered from a
-//!   coarse decimated-lattice seed and rejected early by an admissible
-//!   lower bound on the hypothesis error, with full offset planes built
-//!   lazily only where a candidate survives — bit-identical to the
-//!   SIMD/integral block by construction;
+//! * [`pruned`] — the candidate screen the SIMD driver body runs when
+//!   asked: candidates ordered from a coarse decimated-lattice seed and
+//!   rejected early by an admissible lower bound on the hypothesis
+//!   error, with full offset planes built lazily only where a candidate
+//!   survives — bit-identical to the SIMD/integral block by
+//!   construction;
 //! * [`timing`] — the calibrated workload/rate model that regenerates
 //!   the paper's Tables 2 and 4, Fig. 4 and the speed-up headlines;
 //! * [`plan`] — the adaptive execution planner: every entry point above
@@ -83,6 +84,8 @@ pub mod pruned;
 pub mod sequential;
 pub mod simd;
 pub mod template_map;
+#[cfg(test)]
+mod test_scenes;
 pub mod timing;
 
 pub use affine::LocalAffine;

@@ -45,9 +45,11 @@
 //! the assigned rectangles out. Exact-strategy tiles run the reference
 //! per-pixel loop directly (the sequential driver *is* that loop).
 //! Consequently, under default knobs the planner is bit-identical to
-//! the SIMD fast path on any region — interior tiles take the SIMD
-//! strategy, and an all-border tile's exact loop matches the fast
-//! path's own border fallback pixel for pixel.
+//! the SIMD fast path on any region — interior tiles take the pruned
+//! strategy on continuous-model sweeps of at least
+//! [`PRUNE_MIN_HYPOTHESES`] hypotheses and the SIMD strategy otherwise,
+//! both bit-identical to SIMD, and an all-border tile's exact loop
+//! matches the fast path's own border fallback pixel for pixel.
 //!
 //! Cancellation checkpoints ([`crate::cancel::checkpoint`]) run between
 //! tiles and strategy groups, so a served pair aborts at tile
@@ -78,11 +80,13 @@ pub const GODDARD_PE_EDGE: usize = 128;
 /// Minimum hypothesis count (`(2 nzs + 1)^2`) for the pruned-search
 /// strategy to be worth its screening overhead: the coarse bound pass
 /// costs roughly one extra decimated SAT per offset, which only pays
-/// for itself when there are enough candidates to reject. The hotpath
-/// bench puts the cutover below a 5 x 5 sweep — the pruned driver is
-/// ~2.5x faster than the exhaustive SIMD sweep even on the small
-/// 25-hypothesis scenario, since most of a ring's planes never build —
-/// so only genuinely tiny sweeps (3 x 3) keep the plain SIMD strategy.
+/// for itself when there are enough candidates to reject, so 3 x 3
+/// sweeps keep the plain SIMD strategy. On the paper pipeline
+/// (`pipebench --trace 1`, 96² scenes, medians of interleaved runs on a
+/// 2-vCPU host) the pruned driver ran 1.10–1.19x the SIMD sweep on
+/// `luis_stream` (81 hypotheses) and 1.21–1.36x on `florida_stream`
+/// (225), with every offset plane still built; the screen never arms on
+/// the Fsemi Frederic workloads, which plan SIMD.
 pub const PRUNE_MIN_HYPOTHESES: usize = 25;
 
 /// One uniform execution strategy — a name for each static driver entry
@@ -248,17 +252,9 @@ pub struct PlannerKnobs {
     /// Tile edge in pixels (the last row/column of tiles truncates to
     /// the region). Minimum 1.
     pub tile: usize,
-    /// Permit the SIMD lane-kernel fast path.
+    /// Permit the SIMD lane-kernel fast path and the pruned screen that
+    /// rides on it; off, moment tiles take the scalar integral path.
     pub allow_simd: bool,
-    /// Permit the pruned-search fast path on top of the SIMD kernels
-    /// (candidate ordering + admissible early termination). Only
-    /// reachable when `allow_simd` is also on; the pruned family is
-    /// bit-identical to SIMD, so toggling this can never change output
-    /// bits — it is a pure wall-clock knob.
-    pub allow_pruned: bool,
-    /// Permit the scalar integral fast path (also the segmented moment
-    /// fallback when the budget forces chunking).
-    pub allow_integral: bool,
     /// Force the translation-only degraded mode everywhere (the
     /// shedding rung — comparable, not bit-identical output).
     pub translation_only: bool,
@@ -279,8 +275,6 @@ impl Default for PlannerKnobs {
         Self {
             tile: 16,
             allow_simd: true,
-            allow_pruned: true,
-            allow_integral: true,
             translation_only: false,
             z_rows: None,
             pe_memory_bytes: GODDARD_PE_MEMORY_BYTES,
@@ -426,15 +420,12 @@ impl ExecutionPlanner {
         }
     }
 
-    /// The moment-family strategy the budget admits: unsegmented SIMD or
-    /// integral when the full plane store fits, hypothesis-row
+    /// The moment-family strategy the budget admits: unsegmented pruned,
+    /// SIMD or integral when the full plane store fits, hypothesis-row
     /// segmentation when it does not, the exact kernel when even one
     /// row is too large (it needs no plane store).
     fn moment_strategy(&self, budget: &MemoryBudget, cfg: &SmaConfig) -> (Strategy, PlanReason) {
         let k = &self.knobs;
-        if !k.allow_simd && !k.allow_integral {
-            return (Strategy::Sequential, PlanReason::Interior);
-        }
         let full = 2 * cfg.nzs + 1;
         let z = match k.z_rows {
             Some(z) if z > 0 => z.min(full),
@@ -450,7 +441,6 @@ impl ExecutionPlanner {
                 PlanReason::SegmentedBudget,
             );
         }
-        let search_span = 2 * cfg.nzs + 1;
         let s = if k.allow_simd {
             // The pruned family rides on the SIMD kernels and only arms
             // its screen under the continuous model, so it is preferred
@@ -458,10 +448,7 @@ impl ExecutionPlanner {
             // neighborhoods on continuous-model configs. It is
             // bit-identical to SIMD, so the preference is a pure
             // wall-clock choice.
-            if k.allow_pruned
-                && cfg.model == MotionModel::Continuous
-                && search_span * search_span >= PRUNE_MIN_HYPOTHESES
-            {
+            if cfg.model == MotionModel::Continuous && full * full >= PRUNE_MIN_HYPOTHESES {
                 Strategy::Pruned
             } else {
                 Strategy::Simd

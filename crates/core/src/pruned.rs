@@ -49,28 +49,27 @@
 //!
 //! The screen arms only when it is provably safe: continuous model
 //! (the semi-fluid correspondence search prices each decimated sample
-//! like a full one, erasing the build saving), the `SMA_PRUNE` toggle
-//! on, and a one-pass global scan confirming every screen input is
-//! finite and bounded (which rules out the mid-search non-finite-sum
-//! re-route, so the visit *order* cannot change which exact-kernel
-//! fallback fires). Otherwise the driver degrades to a plain raster
-//! sweep that is structurally the SIMD loop — and the prune-off
-//! equivalence tests assert not one output bit moves either way.
+//! like a full one, erasing the build saving) and a one-pass global scan
+//! confirming every screen input is finite and bounded (which rules out
+//! the mid-search non-finite-sum re-route, so the visit *order* cannot
+//! change which exact-kernel fallback fires).
+//!
+//! This module holds the screen only. [`track_all_pruned`] runs the one
+//! moment-sweep body of [`crate::simd`] (region split, static phase,
+//! search, near-tie re-route) and asks it for the screen; where the
+//! screen cannot arm, that body runs its raster offset loop, which is
+//! [`crate::simd::track_all_simd`] under the pruned family's names. A/B
+//! comparisons of the screen call the two entry points.
 
-use sma_fault::{FaultSite, SmaError};
+use sma_fault::SmaError;
 use sma_grid::prune::{inv3, quad_min, DecimatedMoments};
-use sma_grid::Grid;
-use sma_linalg::gauss::Lu6;
+use sma_obs::atlas::AtlasChannel;
 
-use crate::config::{MotionModel, SmaConfig};
-use crate::fastpath::{
-    ata_from_static, reroute_near_ties, static_channels, Bands, NearTieCounters, StaticMoments,
-    NEAR_TIE_ABS, NEAR_TIE_REL,
-};
-use crate::motion::{track_pixel, Mapping, MotionEstimate, SmaFrames};
+use crate::config::SmaConfig;
+use crate::fastpath::{static_channels, NearTieCounters, NEAR_TIE_ABS, NEAR_TIE_REL};
+use crate::motion::{Mapping, SmaFrames};
 use crate::sequential::{Region, SmaResult};
-use crate::simd::{eval_candidate, EvalState, OffsetPlanes, PixelSystem};
-use crate::template_map::SubOffsetTable;
+use crate::simd::{track_moment_sweep, MomentSweep, OffsetPlanes, SweepFamily};
 
 /// Border pixels routed to the exact kernel (window crosses the edge).
 static PRUNED_BORDER: sma_obs::Counter = sma_obs::Counter::new("pruned.border_fallback_pixels");
@@ -89,11 +88,22 @@ static PRUNED_NEAR_TIE_CANDIDATES: sma_obs::Counter =
 /// Near-tie pixels that fell back to the full exact sweep.
 static PRUNED_NEAR_TIE_FALLBACKS: sma_obs::Counter =
     sma_obs::Counter::new("pruned.near_tie_fallbacks");
-/// The pruned family's near-tie counters.
-const PRUNED_NEAR_TIE_COUNTERS: NearTieCounters = NearTieCounters {
-    pixels: &PRUNED_NEAR_TIE,
-    candidates: &PRUNED_NEAR_TIE_CANDIDATES,
-    fallbacks: &PRUNED_NEAR_TIE_FALLBACKS,
+/// The pruned family's names.
+const PRUNED: SweepFamily = SweepFamily {
+    span: "track_pruned",
+    static_span: "pruned_static",
+    planes_span: "pruned_offset_planes",
+    eval_span: "pruned_eval",
+    border: &PRUNED_BORDER,
+    interior: &PRUNED_INTERIOR,
+    planes: &PRUNED_PLANES,
+    factorizations: &PRUNED_FACTORIZATIONS,
+    near_tie: NearTieCounters {
+        pixels: &PRUNED_NEAR_TIE,
+        candidates: &PRUNED_NEAR_TIE_CANDIDATES,
+        fallbacks: &PRUNED_NEAR_TIE_FALLBACKS,
+    },
+    dispatch: AtlasChannel::DispatchPruned,
 };
 /// Candidates rejected by the admissible bound at ring-binning time.
 static BOUND_REJECTS: sma_obs::Counter = sma_obs::Counter::new("prune.bound_rejects");
@@ -160,21 +170,21 @@ struct PixelScreen {
 /// precondition under which no window sum can go non-finite, so the
 /// reordered search provably fires the same fallbacks as the raster
 /// sweep.
-fn screen_inputs_bounded(
-    frames: &SmaFrames,
-    stat: &StaticMoments,
-    gx_plane: &Grid<f64>,
-    gy_plane: &Grid<f64>,
-) -> bool {
+pub(crate) fn screen_inputs_bounded(sweep: &MomentSweep<'_>) -> bool {
+    let frames = sweep.frames;
     let (w, h) = frames.dims();
     let ok = |v: f64| v.is_finite() && v.abs() <= SCREEN_MAX_MAGNITUDE;
     for y in 0..h {
         for x in 0..w {
             let g = frames.geo_before.at(x, y);
-            if !ok(g.zx) || !ok(g.zy) || !ok(gx_plane.at(x, y)) || !ok(gy_plane.at(x, y)) {
+            if !ok(g.zx)
+                || !ok(g.zy)
+                || !ok(sweep.gx_plane.at(x, y))
+                || !ok(sweep.gy_plane.at(x, y))
+            {
                 return false;
             }
-            if !stat.factors.at(x, y).iter().all(|&f| ok(f)) {
+            if !sweep.stat.factors.at(x, y).iter().all(|&f| ok(f)) {
                 return false;
             }
         }
@@ -183,9 +193,11 @@ fn screen_inputs_bounded(
 }
 
 /// Track every pixel of `region` with the pruned-search moment path,
-/// sequentially. Output is bit-identical to [`crate::simd::track_all_simd`]
-/// (and therefore the whole integral family) by construction — see the
-/// module docs; the conformance matrix pins the contract at run time.
+/// sequentially: the moment-sweep body ([`crate::simd`]) with the
+/// screen asked for. Output is bit-identical to
+/// [`crate::simd::track_all_simd`] (and therefore the whole integral
+/// family) by construction — see the module docs; the conformance
+/// matrix pins the contract at run time.
 ///
 /// # Errors
 /// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
@@ -195,386 +207,185 @@ pub fn track_all_pruned(
     cfg: &SmaConfig,
     region: Region,
 ) -> Result<SmaResult, SmaError> {
-    let _span = sma_obs::span("track_pruned");
+    track_moment_sweep(frames, cfg, region, &PRUNED, true)
+}
+
+/// The screened search over `sweep`'s interior pixels (see the module
+/// docs): screen every candidate, seed each pixel at its smallest
+/// bound, then visit Chebyshev rings around the seed, evaluating the
+/// surviving candidates offset-major on lazily built planes.
+pub(crate) fn screened_search(sweep: &mut MomentSweep<'_>) -> Result<(), SmaError> {
+    let (frames, cfg, interior) = (sweep.frames, sweep.cfg, sweep.interior);
     let (w, h) = frames.dims();
-    let bounds = region.bounds_checked(w, h)?;
-    crate::cancel::checkpoint()?;
     let ns = cfg.nzs as isize;
     let nt = cfg.nzt;
-    let template = cfg.template_window();
-
-    let mut best: Grid<MotionEstimate> = Grid::filled(w, h, MotionEstimate::invalid());
-
-    // Border + fault-poisoned pixels route to the exact kernel, exactly
-    // as in the other fastpath drivers (same injection sites, same keys,
-    // same deterministic ordering).
-    let mut border: Vec<(usize, usize)> = bounds
-        .pixels()
-        .filter(|&(x, y)| !template.fits_at(x, y, w, h))
-        .collect();
-    PRUNED_BORDER.add(border.len() as u64);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::BorderFallback, &border);
-    let mut poisoned: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-    if sma_fault::enabled() {
-        for (x, y) in bounds.pixels() {
-            if template.fits_at(x, y, w, h) {
-                if let Some(token) =
-                    sma_fault::inject(FaultSite::MomentPlane, sma_fault::key2(x as u64, y as u64))
-                {
-                    token.recovered();
-                    poisoned.insert((x, y));
-                }
-            }
-        }
-        let mut rerouted: Vec<(usize, usize)> = poisoned.iter().copied().collect();
-        rerouted.sort_unstable();
-        border.extend(rerouted);
-    }
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &border);
-    crate::cancel::checkpoint()?;
-    for &(x, y) in &border {
-        best.set(x, y, track_pixel(frames, cfg, x, y));
-    }
-
-    let interior: Vec<(usize, usize)> = bounds
-        .pixels()
-        .filter(|&(x, y)| template.fits_at(x, y, w, h) && !poisoned.contains(&(x, y)))
-        .collect();
-    PRUNED_INTERIOR.add(interior.len() as u64);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchPruned, &interior);
-    if interior.is_empty() {
-        return Ok(SmaResult {
-            estimates: best,
-            region: bounds,
-        });
-    }
-
-    // Static phase: identical to the SIMD driver — same moment SAT, same
-    // hoisted gradient planes, same per-pixel factorization.
-    let static_span = sma_obs::span("pruned_static");
-    let stat = StaticMoments::compute(frames);
-    let gx_plane = Grid::from_fn(w, h, |x, y| {
-        let a = frames.geo_after.at(x, y);
-        -a.ni / a.nk
-    });
-    let gy_plane = Grid::from_fn(w, h, |x, y| {
-        let a = frames.geo_after.at(x, y);
-        -a.nj / a.nk
-    });
-
-    let prefactor = |&(x, y): &(usize, usize)| -> (PixelSystem, EvalState) {
-        let s = stat.sat.window_sum(x, y, nt);
-        if !s.iter().all(|v| v.is_finite()) {
-            // Corrupted static moments: re-route through the exact
-            // kernel now and skip the search — the other fastpath
-            // drivers take the same route at their first evaluation.
-            sma_fault::note_natural_degradation();
-            return (
-                PixelSystem {
-                    s,
-                    ata: [0.0; 36],
-                    lu: None,
-                },
-                EvalState {
-                    best: track_pixel(frames, cfg, x, y),
-                    second: f64::NEG_INFINITY,
-                    done: true,
-                },
-            );
-        }
-        let ata = ata_from_static(&s);
-        PRUNED_FACTORIZATIONS.incr();
-        let lu = Lu6::factor(&ata).ok();
-        (
-            PixelSystem { s, ata, lu },
-            EvalState {
-                best: MotionEstimate::invalid(),
-                second: f64::INFINITY,
-                done: false,
-            },
-        )
-    };
-    let (systems, mut states): (Vec<PixelSystem>, Vec<EvalState>) =
-        interior.iter().map(prefactor).unzip();
-    drop(static_span);
-
-    // Per-pixel near-tie bands, indexed by row-major offset. The band
-    // does not depend on the order candidates are visited in (see
-    // [`Bands`]), so the seed-and-ring search records the same band
-    // members the raster sweep would.
-    let mut bands = Bands::new(interior.len(), cfg.hypotheses_per_pixel());
     let side = (2 * ns + 1) as usize;
-    // `Fsemi` only, so only the raster sweep below ever fills it.
-    let mut table = SubOffsetTable::new(cfg, w, h);
 
-    let screen_on = cfg.model == MotionModel::Continuous
-        && sma_grid::prune::enabled()
-        && screen_inputs_bounded(frames, &stat, &gx_plane, &gy_plane);
+    // --- Screening phase ---------------------------------------------
+    // Even-lattice static sums and the inverted a-block, per pixel.
+    let screen_span = sma_obs::span("pruned_screen");
+    let stat = &sweep.stat;
+    let gx_plane = &sweep.gx_plane;
+    let dec_static: DecimatedMoments<STATIC_A_CHANNELS> =
+        DecimatedMoments::from_fn(w, h, |x, y| {
+            let g = frames.geo_before.at(x, y);
+            let ch = static_channels(&stat.factors.at(x, y), g.zx, g.zy);
+            [ch[0], ch[1], ch[2], ch[3], ch[4], ch[5]]
+        });
+    let screen_for = |&(x, y): &(usize, usize)| -> PixelScreen {
+        match dec_static.even_window_sum(x, y, nt) {
+            Some(s) => {
+                let a = [
+                    s[0], s[1], -s[2], //
+                    s[1], s[3], -s[4], //
+                    -s[2], -s[4], s[5],
+                ];
+                PixelScreen {
+                    inv_a: inv3(&a),
+                    s_sub: s,
+                }
+            }
+            None => PixelScreen {
+                inv_a: None,
+                s_sub: [0.0; STATIC_A_CHANNELS],
+            },
+        }
+    };
+    let screens: Vec<PixelScreen> = interior.iter().map(screen_for).collect();
 
-    if !screen_on {
-        // Degraded mode: a plain raster sweep, structurally the SIMD
-        // driver's offset loop (one resident plane, ascending row-major
-        // offsets). Bit-identity here is inheritance, not argument.
-        let mut planes = OffsetPlanes::new(w, h);
-        let mut gx_row = vec![0.0f64; w];
-        let mut gy_row = vec![0.0f64; w];
-        let mut oi = 0usize;
-        for oy in -ns..=ns {
-            crate::cancel::checkpoint()?;
-            for ox in -ns..=ns {
-                {
-                    let _plane_span = sma_obs::span("pruned_offset_planes");
-                    PRUNED_PLANES.incr();
-                    planes.build(
-                        frames,
-                        cfg,
-                        &stat,
-                        &gx_plane,
-                        &gy_plane,
-                        ox,
-                        oy,
-                        &mut gx_row,
-                        &mut gy_row,
-                        table.as_mut().map(|t| t.plane_mut(ox, oy)),
-                    );
+    // One deflated lower bound per (offset, pixel), offset-major. Each
+    // offset's decimated a-channel SAT is built, consumed and dropped
+    // inside its fill — only the bounds stay resident.
+    let n_off = side * side;
+    let np = interior.len();
+    let offsets: Vec<(isize, isize)> = (-ns..=ns)
+        .flat_map(|oy| (-ns..=ns).map(move |ox| (ox, oy)))
+        .collect();
+    let mut lb = vec![0.0f64; n_off * np];
+    let fill_bounds = |&(ox, oy): &(isize, isize), out: &mut [f64]| {
+        let dec: DecimatedMoments<A_CHANNELS> = DecimatedMoments::from_fn(w, h, |x, y| {
+            let sx = (x as isize + ox).clamp(0, w as isize - 1) as usize;
+            let sy = (y as isize + oy).clamp(0, h as isize - 1) as usize;
+            let gx = gx_plane.at(sx, sy);
+            let [zx_e2, zy_e2, ie2, _, _, _] = stat.factors.at(x, y);
+            let t2 = ie2 * gx;
+            [zx_e2 * gx, zy_e2 * gx, t2, t2 * gx]
+        });
+        for (b, (&(x, y), scr)) in out.iter_mut().zip(interior.iter().zip(&screens)) {
+            *b = match (&scr.inv_a, dec.even_window_sum(x, y, nt)) {
+                (Some(inv), Some(t)) => {
+                    let s = &scr.s_sub;
+                    let atb_a = [s[0] - t[0], s[1] - t[1], t[2] - s[2]];
+                    let btb_a = t[3] - 2.0 * t[0] + s[0];
+                    let raw = quad_min(btb_a, &atb_a, inv);
+                    let guard =
+                        LB_GUARD_ABS + LB_GUARD_REL * (t[3].abs() + 2.0 * t[0].abs() + s[0]);
+                    ((raw - guard) * (1.0 - LB_SAFETY_REL)).max(0.0)
                 }
-                let _eval_span = sma_obs::span("pruned_eval");
-                let mapping = table.as_ref().map_or(Mapping::Live, Mapping::Table);
-                for (i, &p) in interior.iter().enumerate() {
-                    if !states[i].done {
-                        let op = eval_candidate(
-                            frames,
-                            cfg,
-                            &planes,
-                            p,
-                            &systems[i],
-                            &mut states[i],
-                            (ox, oy),
-                            mapping,
-                        );
-                        bands.apply(i, oi, op);
-                    }
-                }
-                oi += 1;
+                _ => 0.0,
+            };
+        }
+    };
+    for (out, o) in lb.chunks_mut(np).zip(offsets.iter()) {
+        fill_bounds(o, out);
+    }
+
+    // Seed per pixel: the offset with the smallest bound — the coarse
+    // level's displacement estimate. Strict-less argmin with raster
+    // tie-breaking keeps the choice deterministic.
+    let seed_for = |i: usize| -> usize {
+        let mut bi = 0usize;
+        let mut bv = f64::INFINITY;
+        for (oi, chunk) in lb.chunks(np).enumerate() {
+            let v = chunk[i];
+            if v < bv {
+                bv = v;
+                bi = oi;
             }
         }
-    } else {
-        // --- Screening phase ---------------------------------------
-        // Even-lattice static sums and the inverted a-block, per pixel.
-        let screen_span = sma_obs::span("pruned_screen");
-        let dec_static: DecimatedMoments<STATIC_A_CHANNELS> =
-            DecimatedMoments::from_fn(w, h, |x, y| {
-                let g = frames.geo_before.at(x, y);
-                let ch = static_channels(&stat.factors.at(x, y), g.zx, g.zy);
-                [ch[0], ch[1], ch[2], ch[3], ch[4], ch[5]]
-            });
-        let screen_for = |&(x, y): &(usize, usize)| -> PixelScreen {
-            match dec_static.even_window_sum(x, y, nt) {
-                Some(s) => {
-                    let a = [
-                        s[0], s[1], -s[2], //
-                        s[1], s[3], -s[4], //
-                        -s[2], -s[4], s[5],
-                    ];
-                    PixelScreen {
-                        inv_a: inv3(&a),
-                        s_sub: s,
-                    }
-                }
-                None => PixelScreen {
-                    inv_a: None,
-                    s_sub: [0.0; STATIC_A_CHANNELS],
-                },
-            }
-        };
-        let screens: Vec<PixelScreen> = interior.iter().map(screen_for).collect();
+        bi
+    };
+    let seed_of: Vec<usize> = (0..np).map(seed_for).collect();
+    drop(screen_span);
 
-        // One deflated lower bound per (offset, pixel), offset-major.
-        // Each offset's decimated a-channel SAT is built, consumed and
-        // dropped inside its fill — only the bounds stay resident.
-        let n_off = side * side;
-        let np = interior.len();
-        let offsets: Vec<(isize, isize)> = (-ns..=ns)
-            .flat_map(|oy| (-ns..=ns).map(move |ox| (ox, oy)))
-            .collect();
-        let mut lb = vec![0.0f64; n_off * np];
-        let fill_bounds = |&(ox, oy): &(isize, isize), out: &mut [f64]| {
-            let dec: DecimatedMoments<A_CHANNELS> = DecimatedMoments::from_fn(w, h, |x, y| {
-                let sx = (x as isize + ox).clamp(0, w as isize - 1) as usize;
-                let sy = (y as isize + oy).clamp(0, h as isize - 1) as usize;
-                let gx = gx_plane.at(sx, sy);
-                let [zx_e2, zy_e2, ie2, _, _, _] = stat.factors.at(x, y);
-                let t2 = ie2 * gx;
-                [zx_e2 * gx, zy_e2 * gx, t2, t2 * gx]
-            });
-            for (b, (&(x, y), scr)) in out.iter_mut().zip(interior.iter().zip(&screens)) {
-                *b = match (&scr.inv_a, dec.even_window_sum(x, y, nt)) {
-                    (Some(inv), Some(t)) => {
-                        let s = &scr.s_sub;
-                        let atb_a = [s[0] - t[0], s[1] - t[1], t[2] - s[2]];
-                        let btb_a = t[3] - 2.0 * t[0] + s[0];
-                        let raw = quad_min(btb_a, &atb_a, inv);
-                        let guard =
-                            LB_GUARD_ABS + LB_GUARD_REL * (t[3].abs() + 2.0 * t[0].abs() + s[0]);
-                        ((raw - guard) * (1.0 - LB_SAFETY_REL)).max(0.0)
+    // --- Search phase ------------------------------------------------
+    // Round 0 evaluates each pixel's seed; round r >= 1 evaluates its
+    // Chebyshev ring r (clipped to the search square). Each offset
+    // covers every candidate exactly once. Survivors are binned per
+    // offset and evaluated offset-major ascending, with the full plane
+    // built lazily on first use. The band does not depend on the order
+    // candidates are visited in (see [`crate::fastpath::Bands`]), so
+    // this search records the same band members the raster sweep would.
+    let mut plane_cache: Vec<Option<OffsetPlanes>> = (0..n_off).map(|_| None).collect();
+    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); n_off];
+    for round in 0..=(2 * ns) as usize {
+        crate::cancel::checkpoint()?;
+        for b in bins.iter_mut() {
+            b.clear();
+        }
+        if round == 0 {
+            for (i, &soi) in seed_of.iter().enumerate() {
+                if !sweep.states[i].done {
+                    bins[soi].push(i);
+                }
+            }
+        } else {
+            let r = round as isize;
+            for (i, &soi) in seed_of.iter().enumerate() {
+                if sweep.states[i].done {
+                    continue;
+                }
+                let (sox, soy) = offsets[soi];
+                let thr = skip_threshold(sweep.states[i].best.error);
+                let mut visit = |ox: isize, oy: isize| {
+                    let oi = ((oy + ns) * (side as isize) + (ox + ns)) as usize;
+                    if lb[oi * np + i] > thr {
+                        BOUND_REJECTS.incr();
+                        CANDIDATES_SKIPPED.incr();
+                    } else {
+                        bins[oi].push(i);
                     }
-                    _ => 0.0,
                 };
-            }
-        };
-        for (out, o) in lb.chunks_mut(np).zip(offsets.iter()) {
-            fill_bounds(o, out);
-        }
-
-        // Seed per pixel: the offset with the smallest bound — the
-        // coarse level's displacement estimate. Strict-less argmin with
-        // raster tie-breaking keeps the choice deterministic.
-        let seed_for = |i: usize| -> usize {
-            let mut bi = 0usize;
-            let mut bv = f64::INFINITY;
-            for (oi, chunk) in lb.chunks(np).enumerate() {
-                let v = chunk[i];
-                if v < bv {
-                    bv = v;
-                    bi = oi;
-                }
-            }
-            bi
-        };
-        let seed_of: Vec<usize> = (0..np).map(seed_for).collect();
-        drop(screen_span);
-
-        // --- Search phase ------------------------------------------
-        // Round 0 evaluates each pixel's seed; round r >= 1 evaluates
-        // its Chebyshev ring r (clipped to the search square). Each
-        // offset covers every candidate exactly once. Survivors are
-        // binned per offset and evaluated offset-major ascending, with
-        // the full plane built lazily on first use.
-        let mut plane_cache: Vec<Option<OffsetPlanes>> = (0..n_off).map(|_| None).collect();
-        let mut gx_row = vec![0.0f64; w];
-        let mut gy_row = vec![0.0f64; w];
-        let mut bins: Vec<Vec<usize>> = vec![Vec::new(); n_off];
-        for round in 0..=(2 * ns) as usize {
-            crate::cancel::checkpoint()?;
-            for b in bins.iter_mut() {
-                b.clear();
-            }
-            if round == 0 {
-                for (i, &soi) in seed_of.iter().enumerate() {
-                    if !states[i].done {
-                        bins[soi].push(i);
-                    }
-                }
-            } else {
-                let r = round as isize;
-                for (i, &soi) in seed_of.iter().enumerate() {
-                    if states[i].done {
-                        continue;
-                    }
-                    let (sox, soy) = offsets[soi];
-                    let thr = skip_threshold(states[i].best.error);
-                    for oy in (soy - r).max(-ns)..=(soy + r).min(ns) {
-                        if (oy - soy).abs() == r {
-                            for ox in (sox - r).max(-ns)..=(sox + r).min(ns) {
-                                let oi = ((oy + ns) * (side as isize) + (ox + ns)) as usize;
-                                if lb[oi * np + i] > thr {
-                                    BOUND_REJECTS.incr();
-                                    CANDIDATES_SKIPPED.incr();
-                                } else {
-                                    bins[oi].push(i);
-                                }
-                            }
-                        } else {
-                            for ox in [sox - r, sox + r] {
-                                if (-ns..=ns).contains(&ox) {
-                                    let oi = ((oy + ns) * (side as isize) + (ox + ns)) as usize;
-                                    if lb[oi * np + i] > thr {
-                                        BOUND_REJECTS.incr();
-                                        CANDIDATES_SKIPPED.incr();
-                                    } else {
-                                        bins[oi].push(i);
-                                    }
-                                }
+                for oy in (soy - r).max(-ns)..=(soy + r).min(ns) {
+                    if (oy - soy).abs() == r {
+                        for ox in (sox - r).max(-ns)..=(sox + r).min(ns) {
+                            visit(ox, oy);
+                        }
+                    } else {
+                        for ox in [sox - r, sox + r] {
+                            if (-ns..=ns).contains(&ox) {
+                                visit(ox, oy);
                             }
                         }
                     }
                 }
             }
-            for (oi, &(ox, oy)) in offsets.iter().enumerate() {
-                if bins[oi].is_empty() {
+        }
+        for (oi, &offset) in offsets.iter().enumerate() {
+            if bins[oi].is_empty() {
+                continue;
+            }
+            let plane = match plane_cache[oi] {
+                Some(ref plane) => plane,
+                ref mut slot => sweep.build_plane(slot, offset, None),
+            };
+            let _eval_span = sma_obs::span(sweep.family.eval_span);
+            // Second chance at evaluation time: the incumbent may have
+            // improved since binning, so re-test the stored bound
+            // against the *current* threshold.
+            for &i in &bins[oi] {
+                if sweep.states[i].done {
                     continue;
                 }
-                let plane: &OffsetPlanes = plane_cache[oi].get_or_insert_with(|| {
-                    let _plane_span = sma_obs::span("pruned_offset_planes");
-                    PRUNED_PLANES.incr();
-                    let mut p = OffsetPlanes::new(w, h);
-                    p.build(
-                        frames,
-                        cfg,
-                        &stat,
-                        &gx_plane,
-                        &gy_plane,
-                        ox,
-                        oy,
-                        &mut gx_row,
-                        &mut gy_row,
-                        None,
-                    );
-                    p
-                });
-                let _eval_span = sma_obs::span("pruned_eval");
-                // Second chance at evaluation time: the incumbent may
-                // have improved since binning, so re-test the stored
-                // bound against the *current* threshold.
-                for &i in &bins[oi] {
-                    if states[i].done {
-                        continue;
-                    }
-                    if lb[oi * np + i] > skip_threshold(states[i].best.error) {
-                        CANDIDATES_SKIPPED.incr();
-                        continue;
-                    }
-                    let op = eval_candidate(
-                        frames,
-                        cfg,
-                        plane,
-                        interior[i],
-                        &systems[i],
-                        &mut states[i],
-                        (ox, oy),
-                        Mapping::Live,
-                    );
-                    bands.apply(i, oi, op);
+                if lb[oi * np + i] > skip_threshold(sweep.states[i].best.error) {
+                    CANDIDATES_SKIPPED.incr();
+                    continue;
                 }
+                sweep.eval(plane, i, oi, offset, Mapping::Live);
             }
         }
     }
-
-    for (&(x, y), st) in interior.iter().zip(&states) {
-        best.set(x, y, st.best);
-    }
-    let seconds: Vec<f64> = states.iter().map(|st| st.second).collect();
-
-    // Shared near-tie guard: identical predicate, identical re-route.
-    // The screen never skips a candidate inside the band around the
-    // final best, so the observed runner-up classifies each pixel
-    // exactly as the exhaustive drivers would, and no candidate inside
-    // that band is missing from the pixel's recorded band.
-    reroute_near_ties(
-        frames,
-        cfg,
-        &interior,
-        &seconds,
-        &bands,
-        table.as_ref(),
-        &mut best,
-        &PRUNED_NEAR_TIE_COUNTERS,
-    );
-
-    Ok(SmaResult {
-        estimates: best,
-        region: bounds,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -583,22 +394,7 @@ mod tests {
     use crate::config::MotionModel;
     use crate::fastpath::near_tie;
     use crate::simd::track_all_simd;
-    use sma_grid::warp::translate;
-    use sma_grid::BorderPolicy;
-    use sma_grid::Vec2;
-
-    fn wavy(w: usize, h: usize) -> Grid<f32> {
-        Grid::from_fn(w, h, |x, y| {
-            let (xf, yf) = (x as f32, y as f32);
-            (xf * 0.45).sin() * 2.0 + (yf * 0.35).cos() * 1.5 + (xf * 0.12 + yf * 0.21).sin() * 3.0
-        })
-    }
-
-    fn frames_for_shift(dx: f32, dy: f32, cfg: &SmaConfig) -> SmaFrames {
-        let before = wavy(30, 30);
-        let after = translate(&before, -dx, -dy, BorderPolicy::Clamp);
-        SmaFrames::prepare(&before, &after, &before, &after, cfg).expect("prepare")
-    }
+    use sma_grid::Grid;
 
     /// Frames whose after-image is the wavy surface *analytically*
     /// re-evaluated at `(x + dx, y + dy)`: exact correspondence at every
@@ -620,60 +416,11 @@ mod tests {
     }
 
     #[test]
-    fn pruned_driver_is_bit_identical_to_simd() {
-        // The load-bearing equivalence: every estimate field must match
-        // the SIMD driver (and through it the whole fastpath block) to
-        // the bit, both models (SemiFluid exercises the raster
-        // degraded mode), full region including the border ring.
-        for model in [MotionModel::Continuous, MotionModel::SemiFluid] {
-            let cfg = SmaConfig::small_test(model);
-            let f = frames_for_shift(1.0, 1.0, &cfg);
-            let region = Region::Full;
-            let simd = track_all_simd(&f, &cfg, region).expect("simd");
-            let seq = track_all_pruned(&f, &cfg, region).expect("pruned");
-            for (x, y) in simd.region.pixels() {
-                assert_eq!(
-                    simd.estimates.at(x, y),
-                    seq.estimates.at(x, y),
-                    "{model:?} ({x},{y})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_tracks_known_shift() {
-        let cfg = SmaConfig::small_test(MotionModel::Continuous);
-        let f = frames_for_shift(2.0, -1.0, &cfg);
-        let r = track_all_pruned(&f, &cfg, Region::Interior { margin: 10 }).expect("pruned");
-        for (x, y) in r.region.pixels() {
-            let e = r.estimates.at(x, y);
-            assert!(e.valid, "({x},{y})");
-            assert_eq!(e.displacement, Vec2::new(2.0, -1.0), "({x},{y})");
-        }
-    }
-
-    #[test]
-    fn flat_surface_untrackable_in_pruned_path() {
-        // Singular per-pixel systems: the screen is unscreenable
-        // (inv_a = None, bound 0) and every hypothesis is evaluated
-        // and skipped, matching the SIMD outcome.
-        let cfg = SmaConfig::small_test(MotionModel::Continuous);
-        let flat = Grid::filled(30, 30, 1.0f32);
-        let f = SmaFrames::prepare(&flat, &flat, &flat, &flat, &cfg).expect("prepare");
-        let r = track_all_pruned(&f, &cfg, Region::Interior { margin: 10 }).expect("pruned");
-        for (x, y) in r.region.pixels() {
-            assert!(!r.estimates.at(x, y).valid, "({x},{y})");
-        }
-    }
-
-    #[test]
-    fn screen_toggle_identity_and_non_vacuity() {
-        // One test owns the global SMA_PRUNE toggle (no concurrent test
-        // may race it): with the screen armed the driver must actually
-        // skip candidates (non-vacuity — the gate perf claim is
-        // meaningless otherwise), and disarming it must not move one
-        // output bit.
+    fn screen_identity_and_non_vacuity() {
+        // With the screen armed the driver must actually skip candidates
+        // (non-vacuity — the gate perf claim is meaningless otherwise),
+        // and the screened search must not move one output bit against
+        // the raster sweep of the SIMD entry point.
         let cfg = SmaConfig::small_test(MotionModel::Continuous);
         let f = analytic_shift_frames(2, -1, &cfg);
         // Interior region, as the bench scenarios run: pixels whose
@@ -687,8 +434,7 @@ mod tests {
         sma_obs::set_level(sma_obs::ObsLevel::Summary);
         let skipped0 = sma_obs::metrics::snapshot().counter("prune.candidates_skipped");
         let planes0 = sma_obs::metrics::snapshot().counter("pruned.offset_planes_built");
-        sma_grid::prune::set_enabled(true);
-        let on = track_all_pruned(&f, &cfg, region).expect("pruned on");
+        let pruned = track_all_pruned(&f, &cfg, region).expect("pruned");
         let skipped = sma_obs::metrics::snapshot().counter("prune.candidates_skipped") - skipped0;
         let planes = sma_obs::metrics::snapshot().counter("pruned.offset_planes_built") - planes0;
         assert!(
@@ -699,11 +445,13 @@ mod tests {
             planes < 25,
             "lazy plane build degenerated to the exhaustive sweep ({planes} planes)"
         );
-        sma_grid::prune::set_enabled(false);
-        let off = track_all_pruned(&f, &cfg, region).expect("pruned off");
-        sma_grid::prune::set_enabled(true);
-        for (x, y) in on.region.pixels() {
-            assert_eq!(on.estimates.at(x, y), off.estimates.at(x, y), "({x},{y})");
+        let simd = track_all_simd(&f, &cfg, region).expect("simd");
+        for (x, y) in pruned.region.pixels() {
+            assert_eq!(
+                pruned.estimates.at(x, y),
+                simd.estimates.at(x, y),
+                "({x},{y})"
+            );
         }
     }
 

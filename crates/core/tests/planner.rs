@@ -7,10 +7,10 @@
 
 use sma_core::motion::SmaFrames;
 use sma_core::plan::{Driver, ExecutionPlanner, PlanFeedback, PlanReason, PlannerKnobs, Strategy};
-use sma_core::sequential::Region;
+use sma_core::sequential::{Region, SmaResult};
 use sma_core::{
-    track_all_planner, track_all_planner_with, track_all_sequential, track_all_simd, MotionModel,
-    SmaConfig, SmaError,
+    track_all_integral_segmented, track_all_planner, track_all_planner_with, track_all_sequential,
+    track_all_simd, MotionModel, SmaConfig, SmaError,
 };
 use sma_grid::Grid;
 use sma_obs::atlas::{AtlasChannel, AtlasSnapshot};
@@ -362,4 +362,78 @@ fn large_regions_plan_the_same_drivers_bit_identically() {
             );
         }
     }
+}
+
+/// Plans `frames` with `pe_memory_bytes` of PE memory and default
+/// knobs otherwise: the fast-path budget must admit `rows` hypothesis
+/// rows, every tile must get `want`, and the planner's output must equal
+/// `direct` to the bit.
+fn assert_budget_plan(
+    frames: &SmaFrames,
+    cfg: &SmaConfig,
+    pe_memory_bytes: usize,
+    rows: Option<usize>,
+    want: (Strategy, PlanReason),
+    direct: SmaResult,
+) {
+    let planner = ExecutionPlanner::with_knobs(PlannerKnobs {
+        pe_memory_bytes,
+        ..PlannerKnobs::default()
+    });
+    let (w, h) = frames.dims();
+    let budget = planner.budget_for(w, h, cfg);
+    assert_eq!(budget.fastpath_max_segment_rows(), rows, "{want:?}");
+    let plan = planner.plan(frames, cfg, Region::Full).expect("plan");
+    assert!(
+        plan.tiles.iter().all(|t| (t.strategy, t.reason) == want),
+        "{:?}",
+        plan.tiles
+    );
+    let out = planner.run(frames, cfg, Region::Full).expect("run");
+    for (x, y) in out.region.pixels() {
+        assert_eq!(
+            out.estimates.at(x, y),
+            direct.estimates.at(x, y),
+            "{want:?} ({x},{y})"
+        );
+    }
+}
+
+/// The §4.3 fast-path bytes for `z` resident hypothesis rows at the
+/// default knobs.
+fn fastpath_bytes(frames: &SmaFrames, cfg: &SmaConfig, z: usize) -> usize {
+    let (w, h) = frames.dims();
+    ExecutionPlanner::default()
+        .budget_for(w, h, cfg)
+        .fastpath_total_bytes(z)
+}
+
+#[test]
+fn tight_pe_memory_plans_integral_segmented() {
+    // PE memory that holds two hypothesis rows of moment planes but not
+    // the five of a full small_test search: the budget forces the
+    // segmented integral family.
+    for model in [MotionModel::Continuous, MotionModel::SemiFluid] {
+        let cfg = SmaConfig::small_test(model);
+        let frames = scene(&cfg);
+        let direct = track_all_integral_segmented(&frames, &cfg, Region::Full, 2).expect("seg");
+        let want = (
+            Strategy::IntegralSegmented { z_rows: 2 },
+            PlanReason::SegmentedBudget,
+        );
+        let pe = fastpath_bytes(&frames, &cfg, 2);
+        assert_budget_plan(&frames, &cfg, pe, Some(2), want, direct);
+    }
+}
+
+#[test]
+fn pe_memory_below_one_row_plans_the_exact_kernel() {
+    // Not even one hypothesis row of moment planes fits: the exact
+    // kernel, which needs no plane store, serves every tile.
+    let cfg = SmaConfig::small_test(MotionModel::Continuous);
+    let frames = scene(&cfg);
+    let direct = track_all_sequential(&frames, &cfg, Region::Full).expect("seq");
+    let want = (Strategy::Sequential, PlanReason::MemoryStarved);
+    let pe = fastpath_bytes(&frames, &cfg, 1) - 1;
+    assert_budget_plan(&frames, &cfg, pe, None, want, direct);
 }

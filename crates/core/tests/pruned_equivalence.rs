@@ -3,8 +3,8 @@
 //! Everything here pins *bit* identity: the pruned drivers reorder the
 //! hypothesis sweep and skip candidates only when an admissible lower
 //! bound proves them outside the near-tie band, so against the SIMD
-//! sweep — and against their own run with the screen disarmed — not one
-//! output bit may move. The corpus leans on the scenes where a wrong
+//! sweep (the same driver body with the screen disarmed) not one output
+//! bit may move. The corpus leans on the scenes where a wrong
 //! bound or a sloppy tie rule would actually surface:
 //!
 //! * frames whose width is not a multiple of the 8-wide SIMD lane (the
@@ -21,13 +21,6 @@ use sma_core::sequential::Region;
 use sma_core::{track_all_pruned, track_all_simd, MotionModel, SmaConfig, SmaFrames};
 use sma_grid::warp::translate;
 use sma_grid::{BorderPolicy, Grid};
-use std::sync::Mutex;
-
-/// Serializes the tests that flip the global `SMA_PRUNE` toggle, so one
-/// test's disarmed window can never leak into another's armed
-/// assertion. (Identity tests that only read the ambient state don't
-/// need it: they hold under either setting.)
-static TOGGLE: Mutex<()> = Mutex::new(());
 
 /// A deterministic, richly textured surface parameterized by seed.
 fn textured(w: usize, h: usize, seed: u64) -> Grid<f32> {
@@ -60,24 +53,6 @@ fn assert_matches_simd(f: &SmaFrames, cfg: &SmaConfig, region: Region, tag: &str
     }
 }
 
-/// Replays the same pruned run with the screen armed and disarmed and
-/// asserts bit identity; restores the armed default afterwards.
-fn assert_toggle_identity(f: &SmaFrames, cfg: &SmaConfig, region: Region, tag: &str) {
-    let _guard = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-    sma_grid::prune::set_enabled(true);
-    let on = track_all_pruned(f, cfg, region).expect("pruned on");
-    sma_grid::prune::set_enabled(false);
-    let off = track_all_pruned(f, cfg, region).expect("pruned off");
-    sma_grid::prune::set_enabled(true);
-    for (x, y) in on.region.pixels() {
-        assert_eq!(
-            on.estimates.at(x, y),
-            off.estimates.at(x, y),
-            "{tag}: screen toggle moved a bit at ({x},{y})"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -98,21 +73,6 @@ proptest! {
         let f = shifted(&textured(w, h, seed), dxq as f32 * 0.5, dyq as f32 * 0.5, &cfg);
         assert_matches_simd(&f, &cfg, Region::Full, "random scene");
     }
-
-    /// The same randomized corpus, pinned against the disarmed screen:
-    /// prune-on and prune-off replay to identical bits.
-    #[test]
-    fn screen_toggle_is_identity_on_random_scenes(
-        w in 25usize..41,
-        h in 24usize..34,
-        seed in 0u64..1000,
-        dxq in -4i32..5,
-        dyq in -4i32..5,
-    ) {
-        let cfg = SmaConfig::small_test(MotionModel::Continuous);
-        let f = shifted(&textured(w, h, seed), dxq as f32 * 0.5, dyq as f32 * 0.5, &cfg);
-        assert_toggle_identity(&f, &cfg, Region::Full, "random scene");
-    }
 }
 
 /// A frame too small for any interior pixel: with the small-test
@@ -124,7 +84,6 @@ fn all_border_tile_matches_simd() {
     let cfg = SmaConfig::small_test(MotionModel::Continuous);
     let f = shifted(&textured(13, 13, 7), 1.0, 0.0, &cfg);
     assert_matches_simd(&f, &cfg, Region::Full, "all-border tile");
-    assert_toggle_identity(&f, &cfg, Region::Full, "all-border tile");
 }
 
 /// Zero-variance windows everywhere: every per-pixel system is
@@ -137,7 +96,6 @@ fn zero_variance_windows_match_simd() {
     let flat = Grid::filled(28, 28, 2.5f32);
     let f = SmaFrames::prepare(&flat, &flat, &flat, &flat, &cfg).expect("prepare");
     assert_matches_simd(&f, &cfg, Region::Full, "flat scene");
-    assert_toggle_identity(&f, &cfg, Region::Full, "flat scene");
 }
 
 /// Adversarial near-ties: a period-2 scene aliases the search, so every
@@ -153,7 +111,6 @@ fn periodic_near_ties_match_simd() {
     });
     let f = shifted(&before, 1.0, 0.0, &cfg);
     assert_matches_simd(&f, &cfg, Region::Full, "period-2 scene");
-    assert_toggle_identity(&f, &cfg, Region::Full, "period-2 scene");
 }
 
 /// Diagonal periodic ties plus a flat stripe: mixes unscreenable rows
@@ -171,5 +128,4 @@ fn mixed_ties_and_flat_stripe_match_simd() {
     });
     let f = shifted(&before, -1.0, 1.0, &cfg);
     assert_matches_simd(&f, &cfg, Region::Full, "mixed scene");
-    assert_toggle_identity(&f, &cfg, Region::Full, "mixed scene");
 }

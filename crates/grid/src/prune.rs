@@ -18,60 +18,8 @@
 //!   namely `c - b^T A^-1 b`, clamped at zero. The SMA normal equations
 //!   decouple into two such 3 x 3 blocks, so two of these evaluations
 //!   bound a candidate's full 6-parameter minimum from below.
-//!
-//! The runtime toggle (`SMA_PRUNE=off`, or [`set_enabled`]) disarms the
-//! screen; the pruned drivers then degrade to a plain raster sweep that
-//! is structurally the SIMD driver's loop. The equivalence tests replay
-//! scenes under both settings and assert that not one output bit moves.
-
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::integral::MomentIntegral;
-
-/// Toggle state: 0 = uninitialized (consult `SMA_PRUNE`), 1 = off,
-/// 2 = on.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// True when the candidate screen is enabled (the default).
-///
-/// First call consults the `SMA_PRUNE` environment variable: `off`/`0`
-/// disables the screen, `on`/`1` (or unset) enables it
-/// (case-insensitive, surrounding whitespace ignored). Anything else
-/// warns once on stderr and keeps the default — a typo must not
-/// silently change which search a run used.
-#[inline]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let on = match std::env::var("SMA_PRUNE") {
-                Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                    "off" | "0" => false,
-                    "on" | "1" | "" => true,
-                    _ => {
-                        sma_obs::env::warn_misparse(
-                            "SMA_PRUNE",
-                            &v,
-                            "on|off (or 1|0)",
-                            "candidate screen stays on",
-                        );
-                        true
-                    }
-                },
-                Err(_) => true,
-            };
-            STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Set the toggle programmatically (the prune-on == prune-off identity
-/// tests use this to replay scenes with the screen disarmed).
-pub fn set_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
 
 /// A summed-area table over the stride-2 even lattice of a `K`-channel
 /// plane: cell `(cx, cy)` of the coarse table holds the channel values
@@ -98,11 +46,6 @@ impl<const K: usize> DecimatedMoments<K> {
             fine_w: w,
             fine_h: h,
         }
-    }
-
-    /// Dimensions of the fine plane the lattice was sampled from.
-    pub fn fine_dims(&self) -> (usize, usize) {
-        (self.fine_w, self.fine_h)
     }
 
     /// Per-channel sum over the even-coordinate subset of the
@@ -317,15 +260,5 @@ mod tests {
         assert_eq!(quad_min(1.0, &[2.0, 0.0, 0.0], &inv), 0.0);
         assert_eq!(quad_min(f64::NAN, &[0.0; 3], &inv), 0.0);
         assert_eq!(quad_min(1.0, &[f64::INFINITY, 0.0, 0.0], &inv), 0.0);
-    }
-
-    #[test]
-    fn toggle_round_trips() {
-        let prev = enabled();
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(prev);
     }
 }

@@ -167,11 +167,12 @@ mod tests {
     fn rungs_map_to_planner_knobs() {
         // Top rung: SIMD family allowed.
         let top = DegradeLevel::Simd.knobs();
-        assert!(top.allow_simd && top.allow_integral);
+        assert!(top.allow_simd);
         assert!(!top.translation_only);
-        // One down: SIMD forbidden, integral family still allowed.
+        // One down: SIMD forbidden, so moment tiles take the integral
+        // family.
         let mid = DegradeLevel::Integral.knobs();
-        assert!(!mid.allow_simd && mid.allow_integral);
+        assert!(!mid.allow_simd);
         assert!(!mid.translation_only);
         // Bottom: translation-only shedding mode.
         assert!(DegradeLevel::TranslationOnly.knobs().translation_only);
